@@ -12,13 +12,12 @@ has degree one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .errors import (CodimOverflow, NoIntegerLift, NonIntegerCoefficient,
-                     NormalizationInconsistent, NotHomogeneous, RankMismatch)
+from .errors import (CodimOverflow, NoIntegerLift, NormalizationInconsistent,
+                     NotHomogeneous, RankMismatch)
 from .exactpoly import GrevLex, Polynomial, ungraded_context
 from .groebner import MultigradedIdeal, groebner_basis, normal_form
 
@@ -101,18 +100,14 @@ class ChowRing:
         return out
 
     def degree(self, c):
-        """Degree of a codimension-k class (integer)."""
+        """Degree of a codimension-k class."""
         c = self.reduce(c)
         if c.is_zero():
             return 0
         if self.codim_of(c) != self.dim:
             raise CodimOverflow(
                 "degree is defined for codimension-%d classes only" % self.dim)
-        coeff = c.coeffs.get(self.top, Fraction(0))
-        value = coeff * self.sign
-        if value.denominator != 1:
-            raise NonIntegerCoefficient("degree %s is not an integer" % value)
-        return int(value)
+        return c.coeffs.get(self.top, 0) * self.sign
 
     def pic_to_chow(self, delta):
         """Divisor class with the given Picard multidegree, via an integer
@@ -135,17 +130,13 @@ class ChowRing:
         if c.is_zero():
             if p is None:
                 return ()
-            return tuple(Fraction(0) for _ in self.bases[p])
+            return (0,) * len(self.bases[p])
         if p is None:
             p = self.codim_of(c)
-        return tuple(c.coeffs.get(m, Fraction(0)) for m in self.bases[p])
+        return tuple(c.coeffs.get(m, 0) for m in self.bases[p])
 
     def class_from_coefficients(self, coeffs, p):
-        out = {}
-        for m, c in zip(self.bases[p], coeffs):
-            if c:
-                out[m] = Fraction(c)
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, dict(zip(self.bases[p], coeffs)))
 
     def format_class(self, c, names=None):
         if names is None:
@@ -161,9 +152,9 @@ def build_chow_ring(cox):
     pivots) and a Groebner basis is computed with those divisors greatest.
     Whether the surviving standard monomials form an integral basis depends
     on the tie-break order among the remaining divisors, so pivot cones and
-    orders are tried until the rank check and the point-class normalization
-    (every maximal cone reduces to +- the top monomial, with one common
-    sign) both pass.
+    orders are tried until the rank check, monic leads (so normal forms stay
+    integral) and the point-class normalization (every maximal cone reduces
+    to +- the top monomial, with one common sign) all pass.
     """
     fan = cox.fan
     r, k = fan.nrays, fan.dim
@@ -205,7 +196,7 @@ def _assemble(cox, ctx, ideal, order, names):
     fan = cox.fan
     r, k = fan.nrays, fan.dim
     gb = groebner_basis(ideal, order)
-    leads = [g.terms(order)[0][0] for g in gb.elements]
+    leads = gb.lead_monomials()
 
     def is_standard(m):
         return not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
@@ -225,6 +216,11 @@ def _assemble(cox, ctx, ideal, order, names):
     if bases[k + 1]:
         raise RankMismatch("standard monomials above the ambient dimension",
                            codim=k + 1, got=len(bases[k + 1]), expected=0)
+    for g, lead in zip(gb.elements, leads):
+        if g.coeffs[lead] != 1:
+            raise NormalizationInconsistent(
+                "basis element %s has a non-monic lead term"
+                % g.format(names))
     top = bases[k][0]
     sign = None
     for cone in fan.max_cones:
@@ -232,18 +228,17 @@ def _assemble(cox, ctx, ideal, order, names):
         for i in cone:
             e[i] = 1
         nf = normal_form(Polynomial.from_monomial(tuple(e)), gb)
-        terms = {m: c for m, c in nf.coeffs.items()}
-        lam = terms.get(top, Fraction(0))
-        if set(terms) != {top} or lam not in (1, -1):
+        lam = nf.coeffs.get(top, 0)
+        if set(nf.coeffs) != {top} or lam not in (1, -1):
             raise NormalizationInconsistent(
                 "point class of cone %r reduced to %s, not +-(top monomial)"
                 % (cone, nf.format(names)), cone=cone)
         if sign is None:
-            sign = int(lam)
-        elif sign != int(lam):
+            sign = lam
+        elif sign != lam:
             raise NormalizationInconsistent(
                 "cone %r gives point class sign %d, earlier cones gave %d"
-                % (cone, int(lam), sign), cone=cone)
+                % (cone, lam, sign), cone=cone)
     return ChowRing(cox=cox, ctx=ctx, gb=gb, bases=tuple(bases[:k + 1]),
                     top=top, sign=sign)
 

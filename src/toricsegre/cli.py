@@ -33,6 +33,22 @@ EXIT_CODES = {
 }
 
 
+# option name -> (validity test, what a valid value is)
+_OPTIONS = {
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "coeff_bound": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "retries": (lambda v: type(v) is int, "an integer"),
+    "format": (lambda v: v in ("human", "json"), "'human' or 'json'"),
+}
+
+
+def _check_option(name, value):
+    valid, expected = _OPTIONS[name]
+    if not valid(value):
+        raise InputError("option %r must be %s, not %r"
+                         % (name, expected, value))
+
+
 def load_document(text):
     """Parse and structurally validate the JSON input document."""
     try:
@@ -50,23 +66,25 @@ def load_document(text):
     for key in doc:
         if key not in known:
             raise InputError("unknown field %r" % key)
+    for key in ("rays", "max_cones", "degrees"):
+        if key in doc and not (isinstance(doc[key], list) and all(
+                isinstance(row, list) and all(type(x) is int for x in row)
+                for row in doc[key])):
+            raise InputError("field %r must be a list of integer lists" % key)
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("field 'options' must be an object")
-    known_opts = {"seed", "coeff_bound", "retries", "format"}
-    for key in options:
-        if key not in known_opts:
+    for key, value in options.items():
+        if key not in _OPTIONS:
             raise InputError("unknown option %r" % key)
+        _check_option(key, value)
     return doc
 
 
 def build_problem(doc):
     """Fan validation, Cox/Chow construction, and ideal parsing."""
-    try:
-        fan = Fan(tuple(tuple(v) for v in doc["rays"]),
-                  tuple(tuple(c) for c in doc["max_cones"]))
-    except TypeError:
-        raise InputError("rays and max_cones must be lists of integer lists")
+    fan = Fan(tuple(tuple(v) for v in doc["rays"]),
+              tuple(tuple(c) for c in doc["max_cones"]))
     validate_smooth_complete(fan)
     cox = build_cox_context(fan, names=doc.get("variables"),
                             degrees=doc.get("degrees"))
@@ -112,7 +130,7 @@ def _multiset(monomial):
 
 def _class_triples(chow, cls, codim):
     coeffs = chow.coefficients_on_basis(cls, codim)
-    return [[codim, _multiset(m), int(c)]
+    return [[codim, _multiset(m), c]
             for m, c in zip(chow.bases[codim], coeffs)]
 
 
@@ -216,7 +234,9 @@ def main(argv=None):
         options = doc.get("options", {})
 
         def opt(flag, name, default):
-            return flag if flag is not None else options.get(name, default)
+            value = flag if flag is not None else options.get(name, default)
+            _check_option(name, value)
+            return value
 
         seed = opt(args.seed, "seed", 0)
         bound = opt(args.coeff_bound, "coeff_bound", 100)

@@ -18,7 +18,6 @@ from math import gcd
 
 from . import linalg
 from .errors import InconsistentSystem, NotProjective
-from .exactpoly import Polynomial
 
 
 def wall_relations(fan):

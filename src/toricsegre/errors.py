@@ -77,12 +77,14 @@ class RankMismatch(ToricSegreError):
 
 
 class NonIntegerCoefficient(ToricSegreError):
-    """An intersection product produced a non-integer coefficient."""
+    """A normal form would need a non-integer coefficient: a lead
+    coefficient does not divide the coefficient it has to cancel."""
     code = "E_CHOW_NON_INTEGER"
 
 
 class NormalizationInconsistent(ToricSegreError):
-    """Two maximal cones disagree on the degree normalization."""
+    """A candidate Chow presentation has a non-monic lead, or two maximal
+    cones disagree on the degree normalization."""
     code = "E_CHOW_NORMALIZATION"
 
 

@@ -1,7 +1,7 @@
-"""Exact multivariate polynomial arithmetic over the rationals.
+"""Exact multivariate polynomial arithmetic over the integers.
 
-Monomials are exponent tuples, coefficients are ``fractions.Fraction``
-(always stored reduced), and a ring context carries the multigrading:
+Monomials are exponent tuples, coefficients are Python ints (zero terms
+are never stored), and a ring context carries the multigrading:
 an integer matrix with one column per variable plus a heft vector making
 every variable weight positive.  All values are immutable; every operation
 is a pure function, so shared read-only use from several threads is safe.
@@ -9,9 +9,7 @@ is a pure function, so shared read-only use from several threads is safe.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import EmptyDegree, NotHomogeneous, ZeroPolynomial
 
@@ -97,9 +95,6 @@ class GrevLex:
         return (sum(w[i] * e[i] for i in range(len(e))),
                 tuple(-e[i] for i in self._rev))
 
-    def weighted_degree(self, e):
-        return sum(w * x for w, x in zip(self.weights, e))
-
     def __repr__(self):
         return "GrevLex(weights=%r, perm=%r)" % (self.weights, self.perm)
 
@@ -133,7 +128,7 @@ class BlockOrder:
 # --- polynomials -----------------------------------------------------------
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with integer coefficients."""
 
     __slots__ = ("nvars", "coeffs")
 
@@ -143,7 +138,7 @@ class Polynomial:
         if coeffs:
             for m, c in coeffs.items():
                 if c:
-                    clean[tuple(m)] = c if isinstance(c, Fraction) else Fraction(c)
+                    clean[tuple(m)] = c
         object.__setattr__(self, "coeffs", clean)
 
     # constructors
@@ -153,17 +148,17 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars, i, exp=1):
         e = [0] * nvars
         e[i] = exp
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def from_monomial(cls, m, c=1):
-        return cls(len(m), {tuple(m): Fraction(c)})
+        return cls(len(m), {tuple(m): c})
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -200,7 +195,7 @@ class Polynomial:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return Polynomial.zero(self.nvars)
             return Polynomial(self.nvars,
@@ -225,7 +220,7 @@ class Polynomial:
         return result
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial.constant(self.nvars, other)
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
@@ -252,13 +247,6 @@ class Polynomial:
             else:
                 del out[mm]
         return Polynomial(len(keep), out)
-
-    def extended(self, extra):
-        """The same polynomial viewed in a ring with ``extra`` new trailing
-        variables."""
-        z = (0,) * extra
-        return Polynomial(self.nvars + extra,
-                          {m + z: c for m, c in self.coeffs.items()})
 
     def format(self, names):
         if not self.coeffs:
@@ -365,5 +353,5 @@ def random_homogeneous(delta, rng, bound, ctx):
         c = rng.randint(1, bound)
         if rng.random() < 0.5:
             c = -c
-        coeffs[m] = Fraction(c)
+        coeffs[m] = c
     return Polynomial(ctx.nvars, coeffs)

@@ -2,9 +2,11 @@
 normal forms, elimination, ideal intersection, saturation, Krull dimension
 and vector-space dimension of Artinian quotients.
 
-The engine works fraction-free: polynomials are dicts mapping exponent
-tuples to ints, kept primitive (content 1, positive leading coefficient).
-The public operations wrap these in :class:`exactpoly.Polynomial` values.
+Coefficients are integers throughout.  The engine works directly on the
+coefficient dicts of :class:`exactpoly.Polynomial` values (exponent tuple ->
+int): Buchberger runs fraction-free and keeps basis elements primitive
+(content 1, positive leading coefficient), and normal forms are exact
+integer reductions by the basis scaled to monic leads.
 
 Saturation by a single variable uses the graded-reverse-lex trick (put the
 variable last, compute a basis, divide out the variable), valid whenever the
@@ -16,14 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from .errors import NotHomogeneous, NotZeroDimensional
+from .errors import NonIntegerCoefficient, NotHomogeneous, NotZeroDimensional
 from .exactpoly import (BlockOrder, GrevLex, Polynomial, RingContext,
                         multidegree_of)
 
-# --- raw polynomial helpers (dict exponent-tuple -> int) -------------------
+# --- coefficient-dict helpers (exponent tuple -> int) ----------------------
 
 def _content(p):
     g = 0
@@ -79,15 +80,14 @@ def _spoly(f, lf, g, lg, order):
     return out
 
 
-def _reduce(p, reducers, order, track=False):
-    """Full normal form of p modulo the reducers.
+def _reduce(p, reducers, order):
+    """Full fraction-free reduction of p modulo the reducers.
 
-    Returns a primitive dict; with ``track`` also the Fraction mult such
-    that the exact (monic-basis) normal form equals result / mult.
+    Returns the primitive remainder: a rational multiple of the exact
+    normal form, which is all Buchberger needs.
     """
     num = dict(p)
     res = {}
-    mult = Fraction(1)
     steps = 0
     key = order.key
     while num:
@@ -110,7 +110,6 @@ def _reduce(p, reducers, order, track=False):
                 num[k] *= a
             for k in res:
                 res[k] *= a
-            mult *= a
         shift = tuple(x - y for x, y in zip(m, lm))
         for mm, cc in q.items():
             mm2 = _monomial_mul(mm, shift)
@@ -129,13 +128,6 @@ def _reduce(p, reducers, order, track=False):
             if g > 1:
                 num = {k: v // g for k, v in num.items()}
                 res = {k: v // g for k, v in res.items()}
-                mult /= g
-    if track:
-        g = _content(res)
-        if g > 1:
-            res = {k: v // g for k, v in res.items()}
-            mult /= g
-        return res, mult
     return _primitive(res, order)
 
 
@@ -289,26 +281,6 @@ class GroebnerBasis:
     def lead_monomials(self):
         return tuple(max(g.coeffs, key=self.order.key) for g in self.elements)
 
-    def is_unit_ideal(self):
-        return any(max(m) == 0 for g in self.elements for m in [
-            max(g.coeffs, key=self.order.key)])
-
-    def raw(self):
-        return [ {m: int(c) for m, c in g.coeffs.items()}
-                 for g in self.elements ]
-
-
-def _to_raw(f):
-    """Clear denominators: returns (int dict, denominator)."""
-    den = 1
-    for c in f.coeffs.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in f.coeffs.items()}, den
-
-
-def _from_raw(p, nvars):
-    return Polynomial(nvars, {m: Fraction(c) for m, c in p.items()})
-
 
 def groebner_basis(I, order=None):
     """Reduced Groebner basis of ``I`` for the given (default grevlex)
@@ -319,39 +291,53 @@ def groebner_basis(I, order=None):
     hit = I._cache.get(cache_key)
     if hit is not None:
         return hit
-    raw = [_to_raw(g)[0] for g in I.generators]
-    basis = _buchberger(raw, order)
+    basis = _buchberger([g.coeffs for g in I.generators], order)
     gb = GroebnerBasis(
-        elements=tuple(_from_raw(p, I.ctx.nvars) for p in basis),
+        elements=tuple(Polynomial(I.ctx.nvars, p) for p in basis),
         order=order, reduced=True, ctx=I.ctx)
     I._cache[cache_key] = gb
     return gb
 
 
 def normal_form(f, G):
-    """Unique remainder of ``f`` on division by the reduced basis ``G``."""
-    raw, den = _to_raw(f)
-    order = G.order
-    reducers = sorted(
-        ((max(g.coeffs, key=order.key), {m: int(c) for m, c in g.coeffs.items()},
-          int(g.coeffs[max(g.coeffs, key=order.key)])) for g in G.elements),
-        key=lambda t: order.key(t[0]))
-    res, mult = _reduce(raw, reducers, order, track=True)
-    scale = Fraction(1) / (mult * den)
-    return Polynomial(f.nvars, {m: c * scale for m, c in res.items()})
+    """Unique remainder of ``f`` on division by the reduced basis ``G``
+    with its leads made monic, computed in integers.
 
-
-def in_ideal(f, G):
-    return normal_form(f, G).is_zero()
-
-
-def ideal_equal(I, J, order=None):
-    """Ideal equality via the canonical reduced bases."""
-    return groebner_basis(I, order).elements == groebner_basis(J, order).elements
+    Raises NonIntegerCoefficient when a lead coefficient of ``G`` does not
+    divide the coefficient it has to cancel.
+    """
+    key = G.order.key
+    reducers = sorted(((max(g.coeffs, key=key), g.coeffs)
+                       for g in G.elements), key=lambda t: key(t[0]))
+    num = dict(f.coeffs)
+    res = {}
+    while num:
+        m = max(num, key=key)
+        c = num[m]
+        for lm, q in reducers:
+            if _monomial_divides(lm, m):
+                break
+        else:
+            del num[m]
+            res[m] = c
+            continue
+        b, rest = divmod(c, q[lm])
+        if rest:
+            raise NonIntegerCoefficient(
+                "lead coefficient %d does not divide %d" % (q[lm], c))
+        shift = tuple(x - y for x, y in zip(m, lm))
+        for mm, cc in q.items():
+            mm2 = _monomial_mul(mm, shift)
+            s = num.get(mm2, 0) - b * cc
+            if s:
+                num[mm2] = s
+            else:
+                num.pop(mm2, None)
+    return Polynomial(f.nvars, res)
 
 
 def _ideal_from_raw(raw, ctx):
-    gens = [_from_raw(p, ctx.nvars) for p in raw if p]
+    gens = [Polynomial(ctx.nvars, p) for p in raw if p]
     return MultigradedIdeal.create(gens, ctx, split=bool(ctx.grading))
 
 
@@ -364,19 +350,6 @@ def _is_weight_homogeneous(raw, weights):
 
 
 # --- elimination, intersection, saturation ---------------------------------
-
-def eliminate(I, vars_out):
-    """Generators of I intersected with the subring omitting ``vars_out``."""
-    vars_out = sorted(set(vars_out))
-    if not vars_out:
-        return I
-    order = BlockOrder(vars_out, I.ctx.weights)
-    raw = [_to_raw(g)[0] for g in I.generators]
-    basis = _buchberger(raw, order)
-    kept = [p for p in basis
-            if all(all(m[v] == 0 for v in vars_out) for m in p)]
-    return _ideal_from_raw(kept, I.ctx)
-
 
 def _eliminate_extra_raw(raw, base_weights, n_extra):
     """Raw polynomials live in nvars+n_extra variables (extras trailing);
@@ -442,22 +415,9 @@ def _intersect_raw(a, b, weights):
 
 
 def intersect(I, J):
-    raw = _intersect_raw([_to_raw(g)[0] for g in I.generators],
-                         [_to_raw(g)[0] for g in J.generators],
-                         I.ctx.weights)
+    raw = _intersect_raw([g.coeffs for g in I.generators],
+                         [g.coeffs for g in J.generators], I.ctx.weights)
     return _ideal_from_raw(raw, I.ctx)
-
-
-def saturate_element(I, g):
-    """(I : g^inf), as an ideal of the same ring."""
-    if g.is_zero():
-        raise ValueError("cannot saturate by the zero polynomial")
-    raw = [_to_raw(p)[0] for p in I.generators]
-    g_raw, _ = _to_raw(g)
-    if max(sum(m) for m in g_raw) == 0:
-        return I  # unit: saturation is trivial
-    out = _saturate_element_raw(raw, g_raw, I.ctx.weights)
-    return _ideal_from_raw(out, I.ctx)
 
 
 def _minimal_variable_covers(supports):
@@ -486,11 +446,11 @@ def saturate_ideal(I, J):
     """
     if J.is_zero():
         raise ValueError("cannot saturate by the zero ideal")
-    raws = [_to_raw(g)[0] for g in J.generators]
+    raws = [g.coeffs for g in J.generators]
     if any(max(sum(m) for m in p) == 0 for p in raws):
         return I  # J is the unit ideal
     weights = I.ctx.weights
-    current = [_to_raw(g)[0] for g in I.generators]
+    current = [g.coeffs for g in I.generators]
     if all(len(p) == 1 for p in raws):
         supports = [frozenset(i for i, e in enumerate(next(iter(p))) if e)
                     for p in raws]

@@ -310,57 +310,3 @@ def fm_feasible_point(system, nvars):
             x[var] = Fraction(0)
     return tuple(x)
 
-
-def fm_minimize(objective, system, nvars):
-    """Exact LP: minimize objective . x subject to the system.
-
-    Returns (value, point) or None if infeasible; value is None when the
-    objective is unbounded below on the feasible set.
-    """
-    # extra variable t with constraint t - objective . x >= 0
-    ext = [(tuple(a) + (0,), c) for a, c in system]
-    ext.append((tuple(-Fraction(o) for o in objective) + (1,), Fraction(0)))
-    ext = [_normalize_ineq([Fraction(c) for c in a], Fraction(k)) for a, k in ext]
-    stages = []
-    current = ext
-    for var in range(nvars):
-        stages.append(current)
-        current = fm_eliminate(current, var)
-    lower = None
-    feasible = True
-    for coeffs, const in current:
-        a = coeffs[nvars]
-        if a > 0:
-            bound = Fraction(-const, a)
-            lower = bound if lower is None else max(lower, bound)
-        elif a < 0:
-            continue  # upper bound on t, irrelevant for the minimum
-        elif const < 0:
-            feasible = False
-    if not feasible:
-        return None
-    if lower is None:
-        return (None, None)
-    t = lower
-    x = [Fraction(0)] * (nvars + 1)
-    x[nvars] = t
-    for var in reversed(range(nvars)):
-        lo, hi = None, None
-        for coeffs, const in stages[var]:
-            a = coeffs[var]
-            if a == 0:
-                continue
-            rest = sum(Fraction(c) * x[j] for j, c in enumerate(coeffs)
-                       if j != var) + const
-            bound = Fraction(-rest, a)
-            if a > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None:
-            x[var] = lo
-        elif hi is not None:
-            x[var] = min(hi, Fraction(0))
-        else:
-            x[var] = Fraction(0)
-    return t, tuple(x[:nvars])

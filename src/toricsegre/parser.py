@@ -11,8 +11,6 @@ Errors carry the character offset of the offending token.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParseError
 from .exactpoly import Polynomial
 
@@ -83,7 +81,7 @@ class PolynomialParser:
     def _term(self, scan):
         poly = None
         if scan.kind == "int":
-            poly = Polynomial.constant(self.ctx.nvars, Fraction(scan.value))
+            poly = Polynomial.constant(self.ctx.nvars, scan.value)
             scan.advance()
             if scan.kind == "*":
                 scan.advance()

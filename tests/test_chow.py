@@ -1,16 +1,18 @@
 """Chow rings: ranks, degrees, known intersection numbers, pairing
 non-degeneracy."""
 
-from fractions import Fraction
+import random
 
 import pytest
 
 from toricsegre import linalg
 from toricsegre.chow import build_chow_ring, chow_ranks
 from toricsegre.errors import CodimOverflow, NoIntegerLift
-from toricsegre.exactpoly import Polynomial
+from toricsegre.exactpoly import Polynomial, random_homogeneous
+from toricsegre.groebner import groebner_basis
 from toricsegre.library import hirzebruch, projective_space
 from toricsegre.library import test_library as fan_library
+from toricsegre.parser import parse_polynomial
 
 
 def chow_of(name):
@@ -95,9 +97,8 @@ def test_poincare_pairing_unimodular():
             b_basis = chow.bases[k - d]
             assert len(a_basis) == len(b_basis)
             mat = [[chow.degree(chow.multiply(
-                        Polynomial(chow.nvars, {ma: Fraction(1)}),
-                        chow.reduce(Polynomial(chow.nvars,
-                                               {mb: Fraction(1)}))))
+                        Polynomial(chow.nvars, {ma: 1}),
+                        chow.reduce(Polynomial(chow.nvars, {mb: 1}))))
                     for mb in b_basis] for ma in a_basis]
             assert abs(_det(mat)) == 1, (name, d)
 
@@ -114,3 +115,36 @@ def test_no_integer_lift_error():
     # a doubled grading row is rejected earlier; here just assert lifts work
     chow = chow_of("P2")
     assert not chow.pic_to_chow((2,)).is_zero()
+
+
+def _all_ints(polys):
+    return all(type(c) is int for p in polys for c in p.coeffs.values())
+
+
+def test_coefficients_are_ints():
+    rng = random.Random(5)
+    for name, cox in fan_library().items():
+        chow = build_chow_ring(cox)
+        ring = cox.ring
+        text = "3*%s^2 - 2*%s + 7" % (ring.names[0], ring.names[-1])
+        delta = ring.degree_of_variable(0)
+        products = [chow.reduce(chow.divisor(i) * chow.divisor(j))
+                    for i in range(chow.nvars) for j in range(chow.nvars)]
+        assert _all_ints([parse_polynomial(text, ring)]), name
+        assert _all_ints([random_homogeneous(delta, rng, 9, ring)]), name
+        assert _all_ints(products), name
+        assert _all_ints(chow.gb.elements), name
+        assert _all_ints(groebner_basis(cox.irrelevant).elements), name
+
+
+def test_f2_presentation_is_monic_and_unchanged():
+    """On F2 the first candidate order has a non-monic lead and is
+    rejected; the accepted presentation is the one pinned below."""
+    chow = chow_of("F2")
+    assert chow.bases == (((0, 0, 0, 0),),
+                          ((0, 0, 1, 0), (0, 1, 0, 0)),
+                          ((0, 1, 1, 0),))
+    assert chow.top == (0, 1, 1, 0)
+    assert chow.sign == 1
+    assert all(g.coeffs[lead] == 1 for g, lead
+               in zip(chow.gb.elements, chow.gb.lead_monomials()))

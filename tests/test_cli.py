@@ -44,6 +44,23 @@ def test_load_document_validation():
         cli.load_document(json.dumps(dict(F1_DOC, bogus=1)))
     with pytest.raises(InputError):
         cli.load_document(json.dumps(dict(F1_DOC, options={"speed": 9})))
+    bad_fields = [
+        {"rays": [[1.5, 0]] + F1_DOC["rays"][1:]},          # float ray
+        {"rays": [[True, 0]] + F1_DOC["rays"][1:]},         # bool ray
+        {"max_cones": [[0, 3], [1.0, 3], [1, 2], [0, 2]]},  # float index
+        {"degrees": [[1, 1, 1, 0], [0, 0, 1, 0.5]]},
+        {"degrees": [1, 1, 1, 0]},
+    ]
+    bad_options = [{"coeff_bound": "x"}, {"coeff_bound": 0},
+                   {"coeff_bound": 2.5}, {"retries": "5"}, {"seed": 1.0},
+                   {"seed": False}, {"format": "xml"}]
+    for change in bad_fields + [{"options": o} for o in bad_options]:
+        with pytest.raises(InputError):
+            cli.load_document(json.dumps(dict(F1_DOC, **change)))
+    doc = cli.load_document(json.dumps(dict(
+        F1_DOC, options={"seed": -3, "coeff_bound": 1, "retries": 2,
+                         "format": "json"})))
+    assert doc["options"]["coeff_bound"] == 1
 
 
 def test_human_output_f1(tmp_path, capsys):
@@ -136,6 +153,13 @@ def test_missing_file(tmp_path, capsys):
     rc = cli.main(["--input", str(tmp_path / "nope.json")])
     assert rc == 2
     assert "E_INPUT" in capsys.readouterr().err
+    # invalid input values exit the same way, without a traceback
+    float_ray = dict(F1_DOC, rays=[[1.5, 0]] + F1_DOC["rays"][1:])
+    for argv in (["--input", write_doc(tmp_path, float_ray, "ray.json")],
+                 ["--input", write_doc(tmp_path, F1_DOC), "--coeff-bound",
+                  "0"]):
+        assert cli.main(argv) == 2
+        assert "E_INPUT" in capsys.readouterr().err
 
 
 def test_default_variable_names(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Polynomial arithmetic, grading, and random section generation."""
 
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -23,8 +22,7 @@ CTXB = RingContext(names=("x0", "x1", "y0", "y1"),
 def polys(nvars=3):
     monomial = st.tuples(*([st.integers(0, 3)] * nvars))
     return st.dictionaries(monomial, st.integers(-5, 5), max_size=5).map(
-        lambda d: Polynomial(nvars, {m: Fraction(c)
-                                     for m, c in d.items() if c}))
+        lambda d: Polynomial(nvars, {m: c for m, c in d.items() if c}))
 
 
 @given(polys(), polys(), polys())

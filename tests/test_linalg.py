@@ -128,16 +128,3 @@ def test_fm_feasible_point_simplex():
 def test_fm_infeasible():
     # x >= 1 and -x >= 0
     assert linalg.fm_feasible_point([((1,), -1), ((-1,), 0)], 1) is None
-
-
-def test_fm_minimize_oracle():
-    # minimize x + y over x >= 1, y >= 2
-    value, point = linalg.fm_minimize(
-        (1, 1), [((1, 0), -1), ((0, 1), -2)], 2)
-    assert value == 3
-    assert list(point) == [1, 2]
-
-
-def test_fm_minimize_unbounded():
-    value, _point = linalg.fm_minimize((1,), [((0,), 0)], 1)
-    assert value is None

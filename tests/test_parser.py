@@ -93,8 +93,7 @@ def random_polys(draw):
     monomial = st.tuples(*([st.integers(0, 3)] * 4))
     d = draw(st.dictionaries(monomial, st.integers(-9, 9).filter(bool),
                              min_size=1, max_size=5))
-    from fractions import Fraction
-    return Polynomial(4, {m: Fraction(c) for m, c in d.items()})
+    return Polynomial(4, d)
 
 
 @given(random_polys())
