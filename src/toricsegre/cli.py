@@ -106,19 +106,28 @@ def build_problem(doc):
 
 
 def run_checks(cox, chow, out=None):
-    """Internal invariant suite on the constructed variety."""
+    """Internal invariant suite on the constructed variety.  Raises
+    ToricSegreError (E_INTERNAL) naming the first invariant that fails."""
     ranks = chow_ranks(cox.fan)
-    assert tuple(len(b) for b in chow.bases) == ranks
+    sizes = tuple(len(b) for b in chow.bases)
+    if sizes != ranks:
+        raise ToricSegreError("check failed: Chow basis sizes %s differ "
+                              "from the ranks %s" % (list(sizes), list(ranks)))
     functionals = curve_functionals(cox)
     ample = find_ample(cox, functionals)
-    assert all(sum(w * a for w, a in zip(f, ample)) >= 1
-               for f in functionals)
+    if not all(sum(w * a for w, a in zip(f, ample)) >= 1
+               for f in functionals):
+        raise ToricSegreError("check failed: ample class %s is not positive "
+                              "on every wall functional" % (list(ample),))
     k = cox.fan.dim
-    point = chow.power(chow.pic_to_chow(ample), k)
-    assert chow.degree(point) > 0
+    degree = chow.degree(chow.power(chow.pic_to_chow(ample), k))
+    if degree <= 0:
+        raise ToricSegreError("check failed: ample class %s has top "
+                              "self-intersection degree %d, not positive"
+                              % (list(ample), degree))
     print("check: ranks %s, %d wall functionals, ample %s, degree %d"
-          % (list(ranks), len(functionals), list(ample),
-             chow.degree(point)), file=out or sys.stderr)
+          % (list(ranks), len(functionals), list(ample), degree),
+          file=out or sys.stderr)
 
 
 def _multiset(monomial):

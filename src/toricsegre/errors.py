@@ -108,12 +108,14 @@ class NotProjective(ToricSegreError):
 # --- segre pipeline --------------------------------------------------------
 
 class EmptySubscheme(ToricSegreError):
-    """The saturated ideal is the unit ideal: the subscheme is empty."""
+    """The ideal is the unit ideal on every affine chart: the subscheme is
+    empty."""
     code = "E_EMPTY_SUBSCHEME"
 
 
 class WholeSpace(ToricSegreError):
-    """The saturated ideal is zero: the subscheme is all of X."""
+    """The ideal is zero or cuts out a subscheme of full dimension: the
+    subscheme is all of X."""
     code = "E_WHOLE_SPACE"
 
 

@@ -122,7 +122,7 @@ class BlockOrder:
                 tuple(-e[i] for i in reversed(self.rest)))
 
     def __repr__(self):
-        return "BlockOrder(front=%r)" % (self.front,)
+        return "BlockOrder(front=%r, weights=%r)" % (self.front, self.weights)
 
 
 # --- polynomials -----------------------------------------------------------

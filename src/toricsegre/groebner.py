@@ -287,6 +287,7 @@ def groebner_basis(I, order=None):
     monomial order."""
     if order is None:
         order = I.default_order()
+    # the repr of an order names every field that defines it
     cache_key = repr(order)
     hit = I._cache.get(cache_key)
     if hit is not None:

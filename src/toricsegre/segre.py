@@ -2,12 +2,14 @@
 varieties, by residual intersection.
 
 Given a multihomogeneous ideal I in the Cox ring, the subscheme is
-Z = V(I : B^inf) with B the irrelevant ideal.  For each codimension d from
-codim Z up to dim X the algorithm cuts with d random sections bounded by a
-common class alpha, removes Z by an ideal quotient to obtain a residual
-scheme R_d of pure dimension, recovers the class of R_d from point counts
-against products of globally generated divisor classes, and assembles the
-Segre class components by the inclusion-exclusion recursion
+Z = V(I : B^inf) with B the irrelevant ideal.  Z and each residual scheme
+are held as their ideals on the affine charts of the maximal cones, where B
+is the unit ideal.  For each codimension d from codim Z up to dim X the
+algorithm cuts with d random sections bounded by a common class alpha,
+removes Z by an ideal quotient to obtain a residual scheme R_d of pure
+dimension, recovers the class of R_d from point counts against products of
+globally generated divisor classes, and assembles the Segre class
+components by the inclusion-exclusion recursion
 
     s_i = alpha^(c+i) - [R_(c+i)] - sum_(j<i) C(c+i, i-j) alpha^(i-j) s_j
 
@@ -37,12 +39,12 @@ RETRYABLE = (DimensionFailure, InconsistentSystem, NonIntegerSolution,
 
 @dataclass(frozen=True)
 class SubschemeInput:
-    """Preprocessed problem: validated geometry plus the saturated ideal."""
+    """Preprocessed problem: validated geometry, the ideal, its charts."""
 
     cox: object
     chow: object
     ideal: object  # as given (sections and the bounding class come from it)
-    saturated: object  # B-saturation of ``ideal``
+    charts: tuple  # chart_dehomogenize(ideal) per maximal cone
     dim: int
     codim: int
     functionals: tuple
@@ -50,13 +52,12 @@ class SubschemeInput:
 
 @dataclass(frozen=True)
 class ResidualData:
-    """One residual scheme: the section ideal J_d, the residual ideal,
+    """One residual scheme: its ideals on the charts of the maximal cones,
     its dimension (None when empty), the Chow class, and the linear system
     that produced the class."""
 
     d: int
-    sections_ideal: object
-    ideal: object
+    charts: tuple
     dimension: object
     chow_class: object
     beta_rows: tuple
@@ -76,28 +77,36 @@ class SegreResult:
     coeff_bound: int
 
 
+def _charts(I, cox):
+    """Chart ideals of V(I), one per maximal cone in cone order."""
+    return tuple(chart_dehomogenize(I, cox, t)
+                 for t in range(len(cox.fan.max_cones)))
+
+
+def _dimension(charts):
+    """Dimension in X of the subscheme with these chart ideals: the
+    largest chart dimension, or None when every chart is empty."""
+    return max((n for n in map(krull_dimension, charts) if n is not None),
+               default=None)
+
+
 def preprocess(cox, chow, generators):
-    """Saturate the input ideal by the irrelevant ideal and classify the
+    """Dehomogenize the input ideal on every chart and classify the
     subscheme.  Raises WholeSpace / EmptySubscheme for the degenerate
     cases."""
     ideal = MultigradedIdeal.create(generators, cox.ring)
     if ideal.is_zero():
         raise WholeSpace("the ideal is zero")
-    sat = saturate_ideal(ideal, cox.irrelevant)
-    if sat.is_zero():
-        raise WholeSpace("the ideal saturates to zero")
-    cone_dim = krull_dimension(sat)
-    if cone_dim is None:
-        raise EmptySubscheme("the ideal saturates to the unit ideal")
+    charts = _charts(ideal, cox)
+    n = _dimension(charts)
+    if n is None:
+        raise EmptySubscheme("the ideal is the unit ideal on every chart")
     k = cox.fan.dim
-    n = cone_dim - (cox.fan.nrays - k)
     if n >= k:
         raise WholeSpace("the subscheme has dimension %d in a %d-fold"
                          % (n, k))
-    if n < 0:
-        raise EmptySubscheme("the saturated ideal has empty vanishing locus")
     functionals = curve_functionals(cox)
-    return SubschemeInput(cox=cox, chow=chow, ideal=ideal, saturated=sat,
+    return SubschemeInput(cox=cox, chow=chow, ideal=ideal, charts=charts,
                           dim=n, codim=k - n, functionals=functionals)
 
 
@@ -116,36 +125,27 @@ def pick_sections(problem, alpha, d, rng, coeff_bound):
 
 
 def residual_ideal(problem, sections):
-    """Ideal of the residual scheme: saturate the section ideal by the
-    irrelevant ideal, then quotient out the subscheme."""
-    cox = problem.cox
-    F = MultigradedIdeal.create(sections, cox.ring)
-    J = saturate_ideal(F, cox.irrelevant)
-    # quotienting by the input ideal equals quotienting by its saturation
-    # once J is saturated, and the input has fewer generators
-    return J, saturate_ideal(J, problem.ideal)
-
-
-def _dimension_in_x(I, cox):
-    """Dimension of V(I) in X for a B-saturated ideal, or None if empty."""
-    cone_dim = krull_dimension(I)
-    if cone_dim is None:
-        return None
-    return cone_dim - (cox.fan.nrays - cox.fan.dim)
+    """Chart ideals of the residual scheme: on each chart, the section
+    ideal with the subscheme quotiented out, (F_sigma : I_sigma^inf)."""
+    F = MultigradedIdeal.create(sections, problem.cox.ring)
+    return tuple(saturate_ideal(F_t, I_t) for F_t, I_t
+                 in zip(_charts(F, problem.cox), problem.charts))
 
 
 def zero_dim_length(I, cox):
     """Length of a zero-dimensional subscheme of X, by a chart sweep.
 
-    Chart t contributes the length of the part of V(I) supported away from
-    all earlier charts: vsdim of the dehomogenized ideal minus vsdim of its
-    saturation by the dehomogenized irrelevant monomials of earlier cones.
-    Raises NotZeroDimensional when some chart ideal is not Artinian.
+    ``I`` is its Cox-ring ideal or the tuple of its chart ideals.  Chart t
+    contributes the length of the part of V(I) supported away from all
+    earlier charts: vsdim of the chart ideal minus vsdim of its saturation
+    by the dehomogenized irrelevant monomials of earlier cones.  Raises
+    NotZeroDimensional when some chart ideal is not Artinian.
     """
+    if isinstance(I, MultigradedIdeal):
+        I = _charts(I, cox)
     total = 0
     irr = cox.irrelevant.generators
-    for t in range(len(cox.fan.max_cones)):
-        J = chart_dehomogenize(I, cox, t)
+    for t, J in enumerate(I):
         v = vector_space_dimension(J)
         if t == 0 or v == 0:
             total += v
@@ -159,7 +159,7 @@ def zero_dim_length(I, cox):
 
 
 def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
-    """Chow class of a nonempty residual scheme of codimension d.
+    """Chow class of a nonempty codim-d residual with chart ideals I_R.
 
     Unknown coefficients on the codimension-d standard basis are solved
     from degree equations indexed by exponent tuples p with sum k-d over
@@ -190,9 +190,10 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
             for _ in range(pj):
                 cuts.append(random_homogeneous(delta, rng, coeff_bound,
                                                cox.ring))
-        cut_ideal = MultigradedIdeal.create(
-            list(I_R.generators) + cuts, cox.ring)
-        gamma = zero_dim_length(cut_ideal, cox)
+        cut_charts = _charts(MultigradedIdeal.create(cuts, cox.ring), cox)
+        gamma = zero_dim_length(
+            tuple(MultigradedIdeal.create(R.generators + C.generators, R.ctx)
+                  for R, C in zip(I_R, cut_charts)), cox)
         rows.append(row)
         gammas.append(gamma)
         if linalg.rational_rank(rows) == h:
@@ -232,11 +233,10 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
     for d in range(c, k + 1):
         rng = random.Random("%s:%d:%d:sections" % (seed, attempt, d))
         sections = pick_sections(problem, alpha, d, rng, coeff_bound)
-        J, I_R = residual_ideal(problem, sections)
-        dim_r = _dimension_in_x(I_R, cox)
+        I_R = residual_ideal(problem, sections)
+        dim_r = _dimension(I_R)
         if dim_r is None:
-            residuals.append(ResidualData(d=d, sections_ideal=J, ideal=I_R,
-                                          dimension=None,
+            residuals.append(ResidualData(d=d, charts=I_R, dimension=None,
                                           chow_class=chow.zero(),
                                           beta_rows=(), gammas=()))
             classes[d] = chow.zero()
@@ -247,8 +247,7 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
                 % (d, dim_r, k - d), d=d, got=dim_r, expected=k - d)
         cls, rows, gammas = residual_class(problem, d, I_R, seed, attempt,
                                            coeff_bound)
-        residuals.append(ResidualData(d=d, sections_ideal=J, ideal=I_R,
-                                      dimension=dim_r,
+        residuals.append(ResidualData(d=d, charts=I_R, dimension=dim_r,
                                       chow_class=cls, beta_rows=rows,
                                       gammas=gammas))
         classes[d] = cls

@@ -1,11 +1,14 @@
 """CLI: document validation, output formats, determinism, error codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 from toricsegre import cli
-from toricsegre.errors import InputError
+from toricsegre.chow import build_chow_ring
+from toricsegre.errors import InputError, ToricSegreError
+from toricsegre.library import projective_space
 
 F1_DOC = {
     "rays": [[1, 0], [-1, 1], [0, -1], [0, 1]],
@@ -184,3 +187,18 @@ def test_check_flag(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "check:" in captured.err
+
+
+def test_check_flag_rejects_a_corrupted_ring(tmp_path, capsys, monkeypatch):
+    def flipped_ring(cox):
+        chow = build_chow_ring(cox)
+        return dataclasses.replace(chow, sign=-chow.sign)
+
+    cox = projective_space(2)
+    with pytest.raises(ToricSegreError, match="self-intersection degree -1"):
+        cli.run_checks(cox, flipped_ring(cox))
+    # through the CLI: an error code on stderr, not a traceback
+    monkeypatch.setattr(cli, "build_chow_ring", flipped_ring)
+    rc = cli.main(["--input", write_doc(tmp_path, F1_DOC), "--check"])
+    assert rc == 1
+    assert "error E_INTERNAL: check failed" in capsys.readouterr().err

@@ -190,3 +190,17 @@ def test_groebner_respects_order_argument():
     for order in (GrevLex((1, 1)), GrevLex((2, 1))):
         assert in_ideal(x ** 4 - x, I, order)
         assert not in_ideal(x - y, I, order)
+
+
+def test_groebner_cache_tells_block_orders_apart():
+    # ring (t, x, y): two block orders with t in front and other weights
+    t, x, y = var(XYZ, 0), var(XYZ, 1), var(XYZ, 2)
+    gens = (t * x - y, x ** 3 - y * y)
+    I = ideal(XYZ, *gens)
+    flat = groebner_basis(I, BlockOrder((0,), (1, 1, 1)))
+    heavy_y = BlockOrder((0,), (1, 1, 4))
+    assert (groebner_basis(I, heavy_y).elements
+            == groebner_basis(ideal(XYZ, *gens), heavy_y).elements)
+    assert groebner_basis(I, heavy_y).lead_monomials() == ((1, 1, 0),
+                                                           (0, 0, 2))
+    assert len(flat.elements) == 3

@@ -30,6 +30,9 @@ def test_preprocess_dimensions():
     assert prob.dim == 0 and prob.codim == 2
     _chow, prob = setup(cox, "x0*x1")
     assert prob.dim == 1
+    # the line x0 = 0 plus the point (1:0:0): chart dimensions 0, 1, 1
+    _chow, prob = setup(cox, "x0*x1", "x0*x2")
+    assert prob.dim == 1
     cox = product_p1_cubed()
     _chow, prob = setup(cox, "x0*z0^2", "y0*z0 + z0*y1")
     assert prob.dim == 2
@@ -98,19 +101,30 @@ def test_sections_have_degree_alpha_and_lie_in_ideal():
 
 
 def test_colon_saturation_stability():
-    """((J_d : I^inf) : B^inf) = (J_d : I^inf) on a real run."""
+    """Each chart ideal of the residual equals the chart of the Cox-ring
+    residual ((F : B^inf) : I^inf), on the F1 worked example (d = 1, 2)
+    and the point V(x0, y0, z0) on P1^3 (d = 3)."""
     from toricsegre.cones import find_alpha
+    from toricsegre.fan import chart_dehomogenize
     from toricsegre.segre import residual_ideal
-    cox = hirzebruch(1)
-    chow, prob = setup(cox, "x1^2*y0^2 + x0^3*x1*y1^2",
-                       "x1*y0^2*y1^2 + x0^3*y1^4")
-    alpha = find_alpha(prob.ideal.degrees, cox, prob.functionals)
-    for d in (1, 2):
-        rng = random.Random("stab:%d" % d)
-        sections = pick_sections(prob, alpha, d, rng, 50)
-        _J, I_R = residual_ideal(prob, sections)
-        assert (groebner_basis(saturate_ideal(I_R, cox.irrelevant)).elements
-                == groebner_basis(I_R).elements)
+    cases = [(hirzebruch(1), ("x1^2*y0^2 + x0^3*x1*y1^2",
+                              "x1*y0^2*y1^2 + x0^3*y1^4"), (1, 2)),
+             (product_p1_cubed(), ("x0", "y0", "z0"), (3,))]
+    for cox, texts, ds in cases:
+        chow, prob = setup(cox, *texts)
+        alpha = find_alpha(prob.ideal.degrees, cox, prob.functionals)
+        for d in ds:
+            rng = random.Random("stab:%d" % d)
+            sections = pick_sections(prob, alpha, d, rng, 50)
+            charts = residual_ideal(prob, sections)
+            F = MultigradedIdeal.create(sections, cox.ring)
+            cox_residual = saturate_ideal(saturate_ideal(F, cox.irrelevant),
+                                          prob.ideal)
+            assert len(charts) == len(cox.fan.max_cones)
+            for t, chart in enumerate(charts):
+                oracle = chart_dehomogenize(cox_residual, cox, t)
+                assert (groebner_basis(chart).elements
+                        == groebner_basis(oracle).elements), (texts, d, t)
 
 
 def point_ideal_p1p1(cox, p, q):
