@@ -231,9 +231,6 @@ class Polynomial:
         return sorted(self.coeffs.items(), key=lambda t: order.key(t[0]),
                       reverse=True)
 
-    def total_degree(self):
-        return max((sum(m) for m in self.coeffs), default=0)
-
     def set_to_one(self, indices):
         """Substitute 1 for the given variables and drop them from the ring."""
         drop = set(indices)

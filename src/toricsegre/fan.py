@@ -102,10 +102,15 @@ class Fan:
         return tuple(counts)
 
     def minimal_non_faces(self):
-        """Minimal ray subsets contained in no cone (primitive collections)."""
+        """Minimal ray subsets contained in no cone (primitive collections).
+
+        Every proper subset of a minimal non-face is a face, so none has
+        more than one ray beyond the largest cone.
+        """
         cones = [set(c) for c in self.max_cones]
+        largest = max(map(len, cones))
         out = []
-        for size in range(1, self.nrays + 1):
+        for size in range(1, min(largest + 1, self.nrays) + 1):
             for combo in itertools.combinations(range(self.nrays), size):
                 s = set(combo)
                 if any(set(nf) <= s for nf in out):

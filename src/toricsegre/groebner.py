@@ -421,57 +421,21 @@ def intersect(I, J):
     return _ideal_from_raw(raw, I.ctx)
 
 
-def _minimal_variable_covers(supports):
-    """Minimal variable sets meeting every support set (minimal primes of a
-    squarefree monomial ideal)."""
-    used = sorted(set().union(*supports)) if supports else []
-    covers = []
-    for size in range(1, len(used) + 1):
-        for combo in itertools.combinations(used, size):
-            s = set(combo)
-            if any(c <= s for c in covers):
-                continue
-            if all(s & sup for sup in supports):
-                covers.append(s)
-    return [sorted(c) for c in covers]
-
-
 def saturate_ideal(I, J):
-    """(I : J^inf).
-
-    Depends only on the radical of J.  For a monomial J the radical is
-    decomposed into its minimal variable primes and the saturations are
-    iterated prime by prime; within a prime the element saturations are
-    intersected.  For general J the element saturations of the generators
-    are intersected directly.
-    """
+    """(I : J^inf), the intersection of the element saturations (I : g^inf)
+    over the generators g of J."""
     if J.is_zero():
         raise ValueError("cannot saturate by the zero ideal")
     raws = [g.coeffs for g in J.generators]
     if any(max(sum(m) for m in p) == 0 for p in raws):
         return I  # J is the unit ideal
     weights = I.ctx.weights
-    current = [g.coeffs for g in I.generators]
-    if all(len(p) == 1 for p in raws):
-        supports = [frozenset(i for i, e in enumerate(next(iter(p))) if e)
-                    for p in raws]
-        for prime in _minimal_variable_covers(supports):
-            parts = []
-            for var in prime:
-                g_raw = {tuple(1 if i == var else 0
-                               for i in range(len(weights))): 1}
-                parts.append(_saturate_element_raw(current, g_raw, weights))
-            acc = parts[0]
-            for nxt in parts[1:]:
-                acc = _intersect_raw(acc, nxt, weights)
-            current = acc
-    else:
-        parts = [_saturate_element_raw(current, p, weights) for p in raws]
-        acc = parts[0]
-        for nxt in parts[1:]:
-            acc = _intersect_raw(acc, nxt, weights)
-        current = acc
-    return _ideal_from_raw(current, I.ctx)
+    gens = [g.coeffs for g in I.generators]
+    parts = [_saturate_element_raw(gens, p, weights) for p in raws]
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = _intersect_raw(acc, nxt, weights)
+    return _ideal_from_raw(acc, I.ctx)
 
 
 # --- dimensions ------------------------------------------------------------

@@ -137,8 +137,11 @@ def zero_dim_length(I, cox):
 
     ``I`` is its Cox-ring ideal or the tuple of its chart ideals.  Chart t
     contributes the length of the part of V(I) supported away from all
-    earlier charts: vsdim of the chart ideal minus vsdim of its saturation
-    by the dehomogenized irrelevant monomials of earlier cones.  Raises
+    earlier charts.  With J the chart ideal, v = vsdim(J) and m_s the
+    dehomogenized irrelevant monomials of the earlier cones, that part is
+    cut out by J + (m_s^v): k[x]/J is the product of its local rings, each
+    of length at most v, so m_s^v is zero in the local ring of a point
+    where m_s vanishes and a unit in that of a point of chart s.  Raises
     NotZeroDimensional when some chart ideal is not Artinian.
     """
     if isinstance(I, MultigradedIdeal):
@@ -151,10 +154,10 @@ def zero_dim_length(I, cox):
             total += v
             continue
         off = cox.fan.cone_complement(cox.fan.max_cones[t])
-        earlier = [irr[s].set_to_one(off) for s in range(t)]
-        M = MultigradedIdeal.create(earlier, J.ctx)
-        away = saturate_ideal(J, M)
-        total += v - vector_space_dimension(away)
+        earlier = tuple(irr[s].set_to_one(off) ** v for s in range(t))
+        new = MultigradedIdeal.create(groebner_basis(J).elements + earlier,
+                                      J.ctx)
+        total += vector_space_dimension(new)
     return total
 
 

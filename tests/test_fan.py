@@ -1,5 +1,8 @@
 """Fan validation, gradings, irrelevant ideal, and chart dehomogenization."""
 
+import itertools
+import time
+
 import pytest
 
 from toricsegre import linalg
@@ -90,6 +93,51 @@ def test_minimal_non_faces():
     assert projective_space(2).fan.minimal_non_faces() == ((0, 1, 2),)
     assert set(hirzebruch(1).fan.minimal_non_faces()) == {(0, 1), (2, 3)}
     assert len(product_p1_cubed().fan.minimal_non_faces()) == 3
+
+
+def cyclic_surface(r):
+    """Smooth complete surface fan with r >= 4 rays: P1 x P1 blown up
+    r - 4 times, each time at the fixed point of the cone spanned by (1, 0)
+    and the next ray counterclockwise."""
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for _ in range(r - 4):
+        rays.insert(1, (rays[0][0] + rays[1][0], rays[0][1] + rays[1][1]))
+    return Fan(tuple(rays), tuple((i, (i + 1) % r) for i in range(r)))
+
+
+def brute_force_non_faces(fan):
+    """Minimal non-faces by a scan of all 2^r ray subsets."""
+    faces = {frozenset(s) for c in fan.max_cones
+             for size in range(len(c) + 1)
+             for s in itertools.combinations(c, size)}
+    out = set()
+    for size in range(1, fan.nrays + 1):
+        for combo in itertools.combinations(range(fan.nrays), size):
+            s = frozenset(combo)
+            if s not in faces and all(s - {i} in faces for i in s):
+                out.add(combo)
+    return out
+
+
+def test_minimal_non_faces_match_brute_force():
+    fans = [cox.fan for cox in fan_library().values()]
+    fans += [cyclic_surface(r) for r in (8, 10, 12)]
+    for fan in fans:
+        assert validate_smooth_complete(fan)
+        found = fan.minimal_non_faces()
+        assert len(found) == len(set(found))
+        assert set(found) == brute_force_non_faces(fan), fan.rays
+
+
+def test_minimal_non_faces_20_rays_fast():
+    fan = cyclic_surface(20)
+    assert validate_smooth_complete(fan)
+    start = time.perf_counter()
+    found = fan.minimal_non_faces()
+    elapsed = time.perf_counter() - start
+    assert len(found) == 170  # the non-adjacent pairs, 20 * 17 / 2
+    assert all(len(c) == 2 for c in found)
+    assert elapsed < 1.0
 
 
 def test_irrelevant_ideal_p2():

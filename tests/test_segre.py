@@ -9,11 +9,14 @@ from toricsegre.chow import build_chow_ring
 from toricsegre.errors import EmptySubscheme, WholeSpace
 from toricsegre.exactpoly import (Polynomial, multidegree_of,
                                   random_homogeneous)
+from toricsegre.fan import chart_dehomogenize
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
-                                 saturate_ideal)
+                                 intersect, saturate_ideal,
+                                 vector_space_dimension)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space)
 from toricsegre.parser import parse_polynomial
+from toricsegre import segre
 from toricsegre.segre import (pick_sections, preprocess, segre_class,
                               zero_dim_length)
 
@@ -100,12 +103,22 @@ def test_sections_have_degree_alpha_and_lie_in_ideal():
         assert groebner_basis(with_f).elements == G
 
 
+def saturate_by_irrelevant(I, cox):
+    """(I : B^inf), one minimal prime of B at a time: each is generated by
+    the variables of a primitive collection."""
+    for collection in cox.fan.minimal_non_faces():
+        prime = MultigradedIdeal.create(
+            [Polynomial.variable(cox.nvars, i) for i in collection],
+            cox.ring)
+        I = saturate_ideal(I, prime)
+    return I
+
+
 def test_colon_saturation_stability():
     """Each chart ideal of the residual equals the chart of the Cox-ring
     residual ((F : B^inf) : I^inf), on the F1 worked example (d = 1, 2)
     and the point V(x0, y0, z0) on P1^3 (d = 3)."""
     from toricsegre.cones import find_alpha
-    from toricsegre.fan import chart_dehomogenize
     from toricsegre.segre import residual_ideal
     cases = [(hirzebruch(1), ("x1^2*y0^2 + x0^3*x1*y1^2",
                               "x1*y0^2*y1^2 + x0^3*y1^4"), (1, 2)),
@@ -118,7 +131,7 @@ def test_colon_saturation_stability():
             sections = pick_sections(prob, alpha, d, rng, 50)
             charts = residual_ideal(prob, sections)
             F = MultigradedIdeal.create(sections, cox.ring)
-            cox_residual = saturate_ideal(saturate_ideal(F, cox.irrelevant),
+            cox_residual = saturate_ideal(saturate_by_irrelevant(F, cox),
                                           prob.ideal)
             assert len(charts) == len(cox.fan.max_cones)
             for t, chart in enumerate(charts):
@@ -156,7 +169,6 @@ def test_zero_dim_length_fat_point():
 
 
 def test_zero_dim_length_union():
-    from toricsegre.groebner import intersect
     cox = hirzebruch(0)
     A = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 0), (1, 0)),
                                 cox.ring)
@@ -164,6 +176,64 @@ def test_zero_dim_length_union():
                                 cox.ring)
     I = saturate_ideal(intersect(A, B), cox.irrelevant)
     assert zero_dim_length(I, cox) == 2
+
+
+def length_by_saturation(charts, cox):
+    """The chart sweep as v - vsdim(J : M^inf): v = vsdim(J) for the chart
+    ideal J, M the dehomogenized irrelevant monomials of earlier cones."""
+    total = 0
+    irr = cox.irrelevant.generators
+    for t, J in enumerate(charts):
+        v = vector_space_dimension(J)
+        if t == 0 or v == 0:
+            total += v
+            continue
+        off = cox.fan.cone_complement(cox.fan.max_cones[t])
+        M = MultigradedIdeal.create(
+            [irr[s].set_to_one(off) for s in range(t)], J.ctx)
+        total += v - vector_space_dimension(saturate_ideal(J, M))
+    return total
+
+
+def test_zero_dim_length_matches_saturation_sweep(monkeypatch):
+    """Every residual-plus-cut chart tuple of examples 1-2 and the P1^3
+    point, seeds 0-1, has the length the saturation sweep gives."""
+    calls = []
+
+    def recording(I, cox):
+        n = zero_dim_length(I, cox)
+        calls.append((I, cox, n))
+        return n
+
+    monkeypatch.setattr(segre, "zero_dim_length", recording)
+    cases = [(hirzebruch(1), ("x1^2*y0^2 + x0^3*x1*y1^2",
+                              "x1*y0^2*y1^2 + x0^3*y1^4")),
+             (product_p1_cubed(), ("x0*z0^2", "y0*z0 + z0*y1")),
+             (product_p1_cubed(), ("x0", "y0", "z0"))]
+    for cox, texts in cases:
+        _chow, prob = setup(cox, *texts)
+        for seed in (0, 1):
+            segre_class(prob, seed=seed)
+    assert len(calls) > 40
+    for I, cox, n in calls:
+        assert n == length_by_saturation(I, cox)
+
+
+def test_zero_dim_length_curvilinear_fat_point():
+    """A curvilinear point of length 4 at the torus-fixed point of the last
+    cone of P1 x P1 (x0 = y0 = 0), where the earlier cones' monomials
+    y0, x0*y0 and x0 restrict to x0, x0^2 and x0, plus a reduced point in
+    chart 0: length 5."""
+    cox = hirzebruch(0)
+    x0, x1, y0, y1 = (Polynomial.variable(4, i) for i in range(4))
+    fat = MultigradedIdeal.create([x0 ** 4, y0 * x1 - x0 * y1], cox.ring)
+    point = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 1), (1, 1)),
+                                    cox.ring)
+    assert zero_dim_length(fat, cox) == 4
+    I = intersect(fat, point)
+    assert zero_dim_length(I, cox) == 5
+    charts = tuple(chart_dehomogenize(I, cox, t) for t in range(4))
+    assert length_by_saturation(charts, cox) == 5
 
 
 def test_seed_independence_on_worked_example():
