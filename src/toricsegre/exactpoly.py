@@ -77,10 +77,10 @@ def ungraded_context(names):
 class GrevLex:
     """Graded reverse lexicographic order.
 
-    Grades by the given weight vector; ties break reverse-lexicographically
-    along ``perm`` (a variable sequence, last entry least significant... in
-    the grevlex sense of being most penalized).  The default permutation is
-    the natural variable order.
+    Grades by the given weight vector.  Ties break on the variables of
+    ``perm`` taken from its last entry backwards: the first variable where
+    the exponents differ decides, and the larger exponent there makes the
+    smaller monomial.  The default ``perm`` is the natural variable order.
     """
 
     __slots__ = ("weights", "perm", "_rev")
@@ -290,16 +290,6 @@ def multidegree_of(f, ctx):
                 "terms of degrees %r and %r" % (delta, d),
                 degree_a=delta, degree_b=d)
     return delta
-
-
-def is_multihomogeneous(f, ctx):
-    try:
-        multidegree_of(f, ctx)
-    except NotHomogeneous:
-        return False
-    except ZeroPolynomial:
-        return True
-    return True
 
 
 def monomials_of_degree(delta, ctx):

@@ -1,6 +1,6 @@
 """Groebner basis engine: Buchberger with the Gebauer-Moller pair criteria,
-normal forms, elimination, ideal intersection, saturation, Krull dimension
-and vector-space dimension of Artinian quotients.
+normal forms, elimination, saturation, Krull dimension and vector-space
+dimension of Artinian quotients.
 
 Coefficients are integers throughout.  The engine works directly on the
 coefficient dicts of :class:`exactpoly.Polynomial` values (exponent tuple ->
@@ -8,10 +8,8 @@ int): Buchberger runs fraction-free and keeps basis elements primitive
 (content 1, positive leading coefficient), and normal forms are exact
 integer reductions by the basis scaled to monic leads.
 
-Saturation by a single variable uses the graded-reverse-lex trick (put the
-variable last, compute a basis, divide out the variable), valid whenever the
-generators are homogeneous for the ring's positive heft weights; everything
-else falls back to the auxiliary-variable construction I + (1 - t*g).
+Saturation is one elimination with a new variable y_i per generator g_i
+of J:  (I : J^inf) = (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
 """
 
 from __future__ import annotations
@@ -342,15 +340,7 @@ def _ideal_from_raw(raw, ctx):
     return MultigradedIdeal.create(gens, ctx, split=bool(ctx.grading))
 
 
-def _is_weight_homogeneous(raw, weights):
-    for p in raw:
-        degs = {sum(w * e for w, e in zip(weights, m)) for m in p}
-        if len(degs) > 1:
-            return False
-    return True
-
-
-# --- elimination, intersection, saturation ---------------------------------
+# --- elimination, saturation ----------------------------------------------
 
 def _eliminate_extra_raw(raw, base_weights, n_extra):
     """Raw polynomials live in nvars+n_extra variables (extras trailing);
@@ -366,76 +356,24 @@ def _eliminate_extra_raw(raw, base_weights, n_extra):
     return out
 
 
-def _saturate_variable_raw(raw, var, weights):
-    """(ideal : x_var^inf) via the reverse-lex trick; needs the generators
-    homogeneous for the (positive) weights."""
-    perm = [i for i in range(len(weights)) if i != var] + [var]
-    order = GrevLex(weights, perm)
-    basis = _buchberger(raw, order)
-    out = []
-    for p in basis:
-        shift = min(m[var] for m in p)
-        if shift:
-            p = {m[:var] + (m[var] - shift,) + m[var + 1:]: c
-                 for m, c in p.items()}
-        out.append(p)
-    return out
-
-
-def _saturate_element_raw(raw, g_raw, weights):
-    """(ideal : g^inf) on raw polynomials."""
-    if len(g_raw) == 1 and _is_weight_homogeneous(raw, weights):
-        (gm, _), = g_raw.items()
-        current = raw
-        for var, e in enumerate(gm):
-            if e:
-                current = _saturate_variable_raw(current, var, weights)
-        return current
-    r = len(weights)
-    ext = [{m + (0,): c for m, c in p.items()} for p in raw]
-    rab = {(0,) * (r + 1): 1}
-    for m, c in g_raw.items():
-        rab[m + (1,)] = rab.get(m + (1,), 0) - c
-    ext.append(rab)
-    return _eliminate_extra_raw(ext, weights, 1)
-
-
-def _intersect_raw(a, b, weights):
-    """Intersection of two ideals via a tag variable: (u*a + (1-u)*b) ^ S."""
-    r = len(weights)
-    ext = []
-    for p in a:
-        ext.append({m + (1,): c for m, c in p.items()})
-    for p in b:
-        q = {m + (0,): c for m, c in p.items()}
-        for m, c in p.items():
-            mm = m + (1,)
-            q[mm] = q.get(mm, 0) - c
-        ext.append(q)
-    return _eliminate_extra_raw(ext, weights, 1)
-
-
-def intersect(I, J):
-    raw = _intersect_raw([g.coeffs for g in I.generators],
-                         [g.coeffs for g in J.generators], I.ctx.weights)
-    return _ideal_from_raw(raw, I.ctx)
-
-
 def saturate_ideal(I, J):
-    """(I : J^inf), the intersection of the element saturations (I : g^inf)
-    over the generators g of J."""
+    """(I : J^inf) for J = (g_1, ..., g_m), as the one elimination
+    (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x]."""
     if J.is_zero():
         raise ValueError("cannot saturate by the zero ideal")
     raws = [g.coeffs for g in J.generators]
     if any(max(sum(m) for m in p) == 0 for p in raws):
         return I  # J is the unit ideal
-    weights = I.ctx.weights
-    gens = [g.coeffs for g in I.generators]
-    parts = [_saturate_element_raw(gens, p, weights) for p in raws]
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = _intersect_raw(acc, nxt, weights)
-    return _ideal_from_raw(acc, I.ctx)
+    n = len(raws)
+    pad = (0,) * n
+    ext = [{m + pad: c for m, c in g.coeffs.items()} for g in I.generators]
+    rab = {(0,) * I.ctx.nvars + pad: 1}
+    for i, p in enumerate(raws):
+        tag = pad[:i] + (1,) + pad[i + 1:]
+        for m, c in p.items():
+            rab[m + tag] = -c
+    ext.append(rab)
+    return _ideal_from_raw(_eliminate_extra_raw(ext, I.ctx.weights, n), I.ctx)
 
 
 # --- dimensions ------------------------------------------------------------

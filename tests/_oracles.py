@@ -1,0 +1,30 @@
+"""Test oracles: ideal operations the program no longer computes this way,
+kept to check the ones it does."""
+
+from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
+                                 _ideal_from_raw, saturate_ideal)
+
+
+def intersect(I, J):
+    """I meet J through a tag variable u: (u*I + (1 - u)*J) meet k[x]."""
+    ext = []
+    for g in I.generators:
+        ext.append({m + (1,): c for m, c in g.coeffs.items()})
+    for g in J.generators:
+        q = {m + (0,): c for m, c in g.coeffs.items()}
+        for m, c in g.coeffs.items():
+            q[m + (1,)] = -c
+        ext.append(q)
+    return _ideal_from_raw(_eliminate_extra_raw(ext, I.ctx.weights, 1),
+                           I.ctx)
+
+
+def saturate_by_intersection(I, J):
+    """(I : J^inf) as the intersection of the element saturations
+    (I : g^inf) over the generators g of J."""
+    parts = [saturate_ideal(I, MultigradedIdeal.create([g], J.ctx))
+             for g in J.generators]
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = intersect(acc, nxt)
+    return acc

@@ -10,9 +10,11 @@ import sympy
 from toricsegre.errors import NonIntegerCoefficient, NotZeroDimensional
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
                                   monomials_of_degree, ungraded_context)
-from toricsegre.groebner import (MultigradedIdeal, groebner_basis, intersect,
+from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  krull_dimension, normal_form, saturate_ideal,
                                  vector_space_dimension)
+
+from _oracles import intersect
 
 XY = ungraded_context(("x", "y"))
 XYZ = ungraded_context(("x", "y", "z"))
@@ -96,6 +98,12 @@ def test_saturate_ideal_general():
     I = ideal(XY, (x - y) * x, (x - y) * y)
     S = saturate_ideal(I, ideal(XY, x + y))
     assert same_ideal(S, ideal(XY, x - y))
+    # two lines through the origin have no embedded point, so saturating
+    # by (x, y) gives I back; one y shared across the generators would
+    # saturate by x + y and give (x)
+    I = ideal(XY, x * (x + y))
+    S = saturate_ideal(I, ideal(XY, x, y))
+    assert same_ideal(S, I)
 
 
 def test_intersect_oracle():

@@ -11,14 +11,15 @@ from toricsegre.exactpoly import (Polynomial, multidegree_of,
                                   random_homogeneous)
 from toricsegre.fan import chart_dehomogenize
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
-                                 intersect, saturate_ideal,
-                                 vector_space_dimension)
+                                 saturate_ideal, vector_space_dimension)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space)
 from toricsegre.parser import parse_polynomial
 from toricsegre import segre
 from toricsegre.segre import (pick_sections, preprocess, segre_class,
                               zero_dim_length)
+
+from _oracles import intersect, saturate_by_intersection
 
 
 def setup(cox, *texts):
@@ -103,17 +104,6 @@ def test_sections_have_degree_alpha_and_lie_in_ideal():
         assert groebner_basis(with_f).elements == G
 
 
-def saturate_by_irrelevant(I, cox):
-    """(I : B^inf), one minimal prime of B at a time: each is generated by
-    the variables of a primitive collection."""
-    for collection in cox.fan.minimal_non_faces():
-        prime = MultigradedIdeal.create(
-            [Polynomial.variable(cox.nvars, i) for i in collection],
-            cox.ring)
-        I = saturate_ideal(I, prime)
-    return I
-
-
 def test_colon_saturation_stability():
     """Each chart ideal of the residual equals the chart of the Cox-ring
     residual ((F : B^inf) : I^inf), on the F1 worked example (d = 1, 2)
@@ -131,13 +121,40 @@ def test_colon_saturation_stability():
             sections = pick_sections(prob, alpha, d, rng, 50)
             charts = residual_ideal(prob, sections)
             F = MultigradedIdeal.create(sections, cox.ring)
-            cox_residual = saturate_ideal(saturate_by_irrelevant(F, cox),
+            cox_residual = saturate_ideal(saturate_ideal(F, cox.irrelevant),
                                           prob.ideal)
             assert len(charts) == len(cox.fan.max_cones)
             for t, chart in enumerate(charts):
                 oracle = chart_dehomogenize(cox_residual, cox, t)
                 assert (groebner_basis(chart).elements
                         == groebner_basis(oracle).elements), (texts, d, t)
+
+
+def test_saturate_ideal_matches_intersection_of_element_saturations(
+        monkeypatch):
+    """Every (F_sigma : I_sigma^inf) that the residuals of examples 1-2 and
+    the P1^3 point saturate, seeds 0-1, has the reduced basis of the
+    intersection of the element saturations (F_sigma : g^inf)."""
+    pairs = []
+
+    def recording(I, J):
+        S = saturate_ideal(I, J)
+        pairs.append((I, J, S))
+        return S
+
+    monkeypatch.setattr(segre, "saturate_ideal", recording)
+    cases = [(hirzebruch(1), ("x1^2*y0^2 + x0^3*x1*y1^2",
+                              "x1*y0^2*y1^2 + x0^3*y1^4")),
+             (product_p1_cubed(), ("x0*z0^2", "y0*z0 + z0*y1")),
+             (product_p1_cubed(), ("x0", "y0", "z0"))]
+    for cox, texts in cases:
+        _chow, prob = setup(cox, *texts)
+        for seed in (0, 1):
+            segre_class(prob, seed=seed)
+    assert any(len(J.generators) > 1 for _I, J, _S in pairs)
+    for I, J, S in pairs:
+        assert (groebner_basis(S).elements
+                == groebner_basis(saturate_by_intersection(I, J)).elements)
 
 
 def point_ideal_p1p1(cox, p, q):
