@@ -3,18 +3,20 @@
 Every interior wall (codimension-one cone) of a complete simplicial fan
 carries a torus-invariant curve; its intersection numbers with the toric
 divisors give an integer functional on the Picard lattice.  A class is nef
-exactly when all wall functionals are nonnegative on it.  The bounding
-class used by the residual algorithm is the least class whose translates by
-the generator degrees stay nef: the common apex of the translated nef
-cones when it exists, and otherwise a feasible point reached from one
-generator degree along an ample direction.
+exactly when all wall functionals are nonnegative on it (Cox-Little-Schenck
+6.1 and 6.3: nef means basepoint free, and the wall curves generate the
+Mori cone).  The bounding class used by the residual algorithm is a class
+alpha with alpha - deg g_i nef for every generator g_i; among those,
+``find_alpha`` returns the one that minimizes the sum of the pairings of
+alpha with the distinct wall functionals, by exact integer minimization,
+with the fewest monomials of degree alpha among equal sums.  The same
+minimizer with every pairing at least 1 gives the ample class of
+``find_ample``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .errors import InconsistentSystem, NotProjective
@@ -86,61 +88,81 @@ def _pairing(w, delta):
     return sum(wi * di for wi, di in zip(w, delta))
 
 
-def _descend(delta, system, heft):
-    """Greedy best-effort heft reduction: step by +-1 along coordinates
-    while the system stays satisfied and the heft strictly drops."""
-    p = len(delta)
-    delta = list(delta)
+def _section_count(alpha, cox):
+    """Number of monomials of degree alpha: the lattice points of
+    P_D = {m : <m, u_i> + a_i >= 0} for a divisor D = sum a_i D_i of class
+    alpha (Cox-Little-Schenck Prop. 4.3.3 and 5.4.1).  Counted in the
+    k-dimensional M rather than by listing the monomials, whose search
+    walks the r-dimensional heft simplex."""
+    a = linalg.solve_integer(cox.ring.grading, alpha)
+    fan = cox.fan
+    stages = linalg.fm_stages(list(zip(fan.rays, a)), fan.dim)
+    return sum(1 for _ in linalg.fm_integer_points(stages, ()))
 
-    def feasible(d):
-        return all(_pairing(w, d) + c >= 0 for w, c in system)
 
-    def heft_of(d):
-        return sum(h * x for h, x in zip(heft, d))
+def _least_class(functionals, targets, cox):
+    """The integer class alpha with w . alpha >= t_w for every wall
+    functional w that minimizes sum_w w . alpha, ties broken by the number
+    of monomials of degree alpha and then by alpha itself.
 
-    improved = True
-    while improved:
-        improved = False
-        for j in range(p):
-            for step in (-1, 1):
-                trial = list(delta)
-                trial[j] += step
-                if heft_of(trial) < heft_of(delta) and feasible(trial):
-                    delta = trial
-                    improved = True
-                    break
-    return tuple(delta)
+    The sum pairs alpha with one wall curve per wall functional, so it is
+    positive on every nonzero nef class.  When the equalities
+    w . alpha = t_w have an integer solution, every feasible class exceeds
+    it by a nef class, so it is the unique minimum; that cheap check comes
+    first.  Otherwise a unimodular change of coordinates makes the
+    objective z the last coordinate, Fourier-Motzkin projects the feasible
+    set onto z, and the levels z = ceil(LP bound), +1, ... are searched for
+    integer points.  Raises NotProjective when no class is positive on
+    every wall curve, which is exactly when the projection bounds z from
+    above or keeps a row without z.
+    """
+    apex = linalg.solve_integer(functionals, targets)
+    if apex is not None and all(_pairing(w, apex) == t
+                                for w, t in zip(functionals, targets)):
+        return tuple(int(x) for x in apex)
+    p = cox.ring.pic_rank
+    objective = [sum(col) for col in zip(*functionals)]
+    # u . objective . v = (g, 0, ..., 0) with g the gcd and u = (+-1), so
+    # alpha = v . beta puts the objective / g in beta_0.  Moving that column
+    # last makes it the variable Fourier-Motzkin eliminates last and the
+    # search fixes first.
+    _d, u, v = linalg.smith_normal_form([objective])
+    v = [row[1:] + [u[0][0] * row[0]] for row in v]
+    system = [(tuple(_pairing(w, col) for col in zip(*v)), -t)
+              for w, t in zip(functionals, targets)]
+    stages = linalg.fm_stages(system, p)
+    if any(coeffs[p - 1] <= 0 for coeffs, _const in stages[p - 1]):
+        raise NotProjective("no class is positive on every wall curve")
+    z = max(-(const // coeffs[p - 1]) for coeffs, const in stages[p - 1])
+    while True:
+        found = [tuple(_pairing(row, beta) for row in v)
+                 for beta in linalg.fm_integer_points(stages, (z,))]
+        if found:
+            if len(found) == 1:
+                return found[0]
+            return min(found, key=lambda a: (_section_count(a, cox), a))
+        z += 1
 
 
 def find_ample(cox, functionals=None):
-    """An integer class pairing >= 1 with every wall curve, pushed to low
-    heft by coordinate descent.  Raises NotProjective if none exists."""
+    """The least integer class pairing >= 1 with every wall curve, in the
+    order of ``find_alpha``.  Raises NotProjective if none exists."""
     if functionals is None:
         functionals = curve_functionals(cox)
-    p = cox.ring.pic_rank
-    if p == 0:
+    if cox.ring.pic_rank == 0:
         raise NotProjective("trivial Picard lattice")
-    system = [(w, Fraction(-1)) for w in functionals]
-    point = linalg.fm_feasible_point(system, p)
-    if point is None:
-        raise NotProjective("no class is positive on every wall curve")
-    mult = 1
-    for x in point:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    # scaling by a positive integer preserves pairing >= 1
-    delta = tuple(int(x * mult) for x in point)
-    return _descend(delta, [(w, -1) for w in functionals], cox.ring.heft)
+    return _least_class(functionals, [1] * len(functionals), cox)
 
 
 def find_alpha(degrees, cox, functionals=None):
-    """Least common bound of the generator degrees: a class alpha with
-    alpha - delta nef for every generator degree delta.
+    """The least common nef bound of the generator degrees: the integer
+    class alpha with alpha - delta nef for every generator degree delta
+    that minimizes the sum of its pairings with the wall functionals, ties
+    broken by the number of monomials of degree alpha.
 
-    Per wall functional w the constraint is w . alpha >= max_i w . delta_i;
-    when the system of equalities has an integer solution that is the apex
-    of the intersection of the translated nef cones and is returned.
-    Otherwise the first generator degree is pushed into the feasible region
-    along an ample class.
+    Per wall functional w the constraint is w . alpha >= max_i w . delta_i.
+    When these hold with equality at an integer class (the apex of the
+    translated nef cones), that class is the answer.
     """
     degrees = [tuple(d) for d in degrees]
     if not degrees:
@@ -148,16 +170,4 @@ def find_alpha(degrees, cox, functionals=None):
     if functionals is None:
         functionals = curve_functionals(cox)
     targets = [max(_pairing(w, d) for d in degrees) for w in functionals]
-    rows = [list(w) for w in functionals]
-    apex = linalg.solve_integer(rows, targets)
-    if apex is not None:
-        ok = all(_pairing(w, apex) == t for w, t in zip(functionals, targets))
-        if ok:
-            return tuple(int(x) for x in apex)
-    ample = find_ample(cox, functionals)
-    base = degrees[0]
-    j = max([0] + [t - _pairing(w, base)
-                   for w, t in zip(functionals, targets)])
-    delta = tuple(b + j * a for b, a in zip(base, ample))
-    system = [(w, -t) for w, t in zip(functionals, targets)]
-    return _descend(delta, system, cox.ring.heft)
+    return _least_class(functionals, targets, cox)

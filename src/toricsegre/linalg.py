@@ -8,7 +8,7 @@ Fractions); the matrices involved are tiny (rays x dimension scale).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 
 # --- rational elimination --------------------------------------------------
@@ -272,41 +272,85 @@ def fm_eliminate(system, var):
     return out
 
 
+def fm_stages(system, nvars):
+    """Fourier-Motzkin elimination of variables 0, 1, ..., nvars - 1 in turn.
+
+    ``system`` is a list of (coefficient tuple of length nvars, constant)
+    meaning sum(a_i x_i) + c >= 0.  Returns nvars + 1 normalized systems:
+    entry v involves only variables v..nvars-1 and describes the projection
+    of the input polyhedron onto them; the last entry has no variables.
+    """
+    current = [_normalize_ineq([Fraction(c) for c in a], Fraction(k))
+               for a, k in system]
+    stages = [current]
+    for var in range(nvars):
+        current = fm_eliminate(current, var)
+        stages.append(current)
+    return stages
+
+
+def _interval(stage, var, x):
+    """Bounds (lower, upper; None when absent) on x[var] from the rows of
+    ``stage`` once x[var+1:] is fixed."""
+    lower, upper = None, None
+    for coeffs, const in stage:
+        a = coeffs[var]
+        if a == 0:
+            continue
+        rest = sum(c * x[j] for j, c in enumerate(coeffs)
+                   if j > var and c) + const
+        bound = Fraction(-rest, a)
+        if a > 0:
+            lower = bound if lower is None else max(lower, bound)
+        else:
+            upper = bound if upper is None else min(upper, bound)
+    return lower, upper
+
+
 def fm_feasible_point(system, nvars):
     """An exact rational point satisfying every inequality, or None.
 
     ``system`` is a list of (coefficient tuple of length nvars, constant)
     meaning sum(a_i x_i) + c >= 0.
     """
-    system = [_normalize_ineq([Fraction(c) for c in a], Fraction(k))
-              for a, k in system]
-    stages = []
-    current = system
-    for var in range(nvars):
-        stages.append(current)
-        current = fm_eliminate(current, var)
-    for coeffs, const in current:
+    stages = fm_stages(system, nvars)
+    for coeffs, const in stages[-1]:
         if const < 0:
             return None
     x = [Fraction(0)] * nvars
     for var in reversed(range(nvars)):
-        lower, upper = None, None
-        for coeffs, const in stages[var]:
-            a = coeffs[var]
-            if a == 0:
-                continue
-            rest = sum(Fraction(c) * x[j] for j, c in enumerate(coeffs)
-                       if j != var) + const
-            bound = Fraction(-rest, a)
-            if a > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
+        lower, upper = _interval(stages[var], var, x)
         if lower is not None:
             x[var] = lower
         elif upper is not None:
             x[var] = min(upper, Fraction(0))
-        else:
-            x[var] = Fraction(0)
     return tuple(x)
 
+
+def fm_integer_points(stages, tail):
+    """Every integer point of ``stages[0]`` whose last coordinates are
+    ``tail``, by backtracking through the Fourier-Motzkin stages from
+    ``fm_stages``.  The polyhedron must be bounded once ``tail`` is fixed.
+
+    Exact because each stage is the projection of the one before: a point
+    of stage v + 1 extends to stage v along the interval its rows give.
+    """
+    nvars = len(stages) - 1
+    free = nvars - len(tail)
+    x = [0] * free + list(tail)
+    if any(sum(c * xi for c, xi in zip(coeffs, x)) + const < 0
+           for coeffs, const in stages[free]):
+        return
+
+    def extend(var):
+        if var < 0:
+            yield tuple(x)
+            return
+        lower, upper = _interval(stages[var], var, x)
+        if lower is None or upper is None:
+            raise ValueError("variable %d is unbounded" % var)
+        for value in range(ceil(lower), floor(upper) + 1):
+            x[var] = value
+            yield from extend(var - 1)
+
+    yield from extend(free - 1)

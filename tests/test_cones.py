@@ -1,10 +1,41 @@
 """Wall curves, nef checks, and the bounding class alpha."""
 
+import itertools
+import random
+import time
+
+import pytest
+
 from toricsegre.cones import (curve_functionals, find_alpha, find_ample,
                               is_nef, wall_relations)
+from toricsegre.errors import NotProjective
+from toricsegre.exactpoly import monomials_of_degree
+from toricsegre.fan import Fan, build_cox_context
 from toricsegre.library import (hirzebruch, product_p1_cubed,
-                                projective_space)
+                                projective_space, threefold_p2_x_p1)
 from toricsegre.library import test_library as fan_library
+
+FIVE_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1))
+EIGHT_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+              (1, -1))
+TWELVE_RAYS = ((1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (1, 1), (0, 1),
+               (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+def cyclic_surface(rays):
+    """Cox context of the surface whose maximal cones are the cyclically
+    adjacent ray pairs; variables z0, z1, ..."""
+    r = len(rays)
+    return build_cox_context(
+        Fan(tuple(rays), tuple((i, (i + 1) % r) for i in range(r))))
+
+
+def variable_degrees(cox, indices):
+    return [cox.ring.degree_of_variable(i) for i in indices]
+
+
+def objective(functionals, alpha):
+    return sum(sum(wi * ai for wi, ai in zip(w, alpha)) for w in functionals)
 
 
 def test_wall_relations_annihilate_rays():
@@ -89,3 +120,87 @@ def test_alpha_dominates_all_degrees():
         for d in degrees:
             gap = tuple(a - x for a, x in zip(alpha, d))
             assert is_nef(gap, w), (name, alpha, d)
+
+
+def assert_least_in_box(cox, degrees, radius):
+    """No class within ``radius`` of find_alpha's answer in each coordinate
+    bounds the degrees with a smaller sum of wall pairings, or with an
+    equal sum and fewer monomials."""
+    w = curve_functionals(cox)
+    alpha = find_alpha(degrees, cox, w)
+    best = objective(w, alpha)
+    sections = len(monomials_of_degree(alpha, cox.ring))
+    for d in degrees:
+        assert is_nef([a - x for a, x in zip(alpha, d)], w), (alpha, d)
+    for step in itertools.product(range(-radius, radius + 1),
+                                  repeat=len(alpha)):
+        other = tuple(a + s for a, s in zip(alpha, step))
+        if not all(is_nef([a - x for a, x in zip(other, d)], w)
+                   for d in degrees):
+            continue
+        value = objective(w, other)
+        assert value >= best, (degrees, alpha, other)
+        if value == best and other != alpha:
+            assert len(monomials_of_degree(other, cox.ring)) >= sections, \
+                (degrees, alpha, other)
+    return alpha
+
+
+def test_alpha_is_least_in_a_box():
+    """Random generator-degree sets on P^1-P^3, F0-F3, P1^3 and P2 x P1;
+    each degree is that of a random monomial."""
+    fans = [projective_space(n) for n in (1, 2, 3)]
+    fans += [hirzebruch(e) for e in range(4)]
+    fans += [product_p1_cubed(), threefold_p2_x_p1()]
+    rng = random.Random(16)
+    for cox in fans:
+        r = cox.nvars
+        for _ in range(4):
+            degrees = []
+            for _ in range(rng.randint(1, 3)):
+                e = [rng.randint(0, 3) for _ in range(r)]
+                degrees.append(tuple(sum(row[i] * e[i] for i in range(r))
+                                     for row in cox.ring.grading))
+            assert_least_in_box(cox, degrees, 2)
+
+
+def test_alpha_of_surface_points():
+    """V(z0, z1) on the 5- and 8-ray surfaces has no apex.  On the 8-ray
+    surface (1,3,3,4,2,0) also has the least sum, 7, but 10 monomials
+    against 9."""
+    cox = cyclic_surface(FIVE_RAYS)
+    assert assert_least_in_box(cox, variable_degrees(cox, (0, 1)), 2) \
+        == (2, 3, 2)
+    cox = cyclic_surface(EIGHT_RAYS)
+    degrees = variable_degrees(cox, (0, 1))
+    assert assert_least_in_box(cox, degrees, 2) == (1, 3, 3, 4, 1, 0)
+    w = curve_functionals(cox)
+    assert objective(w, (1, 3, 3, 4, 1, 0)) == 7
+    assert objective(w, (1, 3, 3, 4, 2, 0)) == 7
+    assert len(monomials_of_degree((1, 3, 3, 4, 2, 0), cox.ring)) == 10
+    assert len(monomials_of_degree((1, 3, 3, 4, 1, 0), cox.ring)) == 9
+
+
+def test_alpha_12_ray_point_fast():
+    """Picard rank 10 and no apex: the least sum of wall pairings is 11."""
+    cox = cyclic_surface(TWELVE_RAYS)
+    degrees = variable_degrees(cox, (0, 1))
+    start = time.perf_counter()
+    w = curve_functionals(cox)
+    alpha = find_alpha(degrees, cox, w)
+    elapsed = time.perf_counter() - start
+    for d in degrees:
+        assert is_nef([a - x for a, x in zip(alpha, d)], w)
+    assert objective(w, alpha) == 11
+    assert elapsed < 2.0
+
+
+def test_no_positive_class_raises_not_projective():
+    """Wall functionals x and -x have no common positive class; with no
+    apex the search must stop with NotProjective, not loop."""
+    cox = projective_space(1)
+    w = ((1,), (-1,))
+    with pytest.raises(NotProjective):
+        find_alpha([(0,), (1,)], cox, w)
+    with pytest.raises(NotProjective):
+        find_ample(cox, w)

@@ -1,6 +1,7 @@
 """Exact linear algebra: oracles against hand-computed values and
 property tests against independent checks."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -128,3 +129,28 @@ def test_fm_feasible_point_simplex():
 def test_fm_infeasible():
     # x >= 1 and -x >= 0
     assert linalg.fm_feasible_point([((1,), -1), ((-1,), 0)], 1) is None
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.lists(small_int, min_size=n, max_size=n),
+                       st.integers(-8, 8)), max_size=4))))
+@settings(max_examples=80, deadline=None)
+def test_fm_integer_points_match_box_scan(case):
+    """Inside the box |x_j| <= 3, every integer point, and every one with
+    the last coordinate fixed, against a scan of the box."""
+    n, extra = case
+    box = []
+    for j in range(n):
+        unit = tuple(1 if i == j else 0 for i in range(n))
+        box.append((unit, 3))
+        box.append((tuple(-u for u in unit), 3))
+    system = box + [(tuple(a), c) for a, c in extra]
+    expected = [x for x in itertools.product(range(-3, 4), repeat=n)
+                if all(sum(ai * xi for ai, xi in zip(a, x)) + c >= 0
+                       for a, c in system)]
+    stages = linalg.fm_stages(system, n)
+    assert sorted(linalg.fm_integer_points(stages, ())) == expected
+    for last in range(-4, 5):
+        assert sorted(linalg.fm_integer_points(stages, (last,))) == \
+            [x for x in expected if x[-1] == last]

@@ -2,6 +2,7 @@
 oracles."""
 
 import random
+import signal
 
 import pytest
 
@@ -9,7 +10,7 @@ from toricsegre.chow import build_chow_ring
 from toricsegre.errors import EmptySubscheme, WholeSpace
 from toricsegre.exactpoly import (Polynomial, multidegree_of,
                                   random_homogeneous)
-from toricsegre.fan import chart_dehomogenize
+from toricsegre.fan import Fan, build_cox_context, chart_dehomogenize
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  saturate_ideal, vector_space_dimension)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
@@ -261,6 +262,33 @@ def test_seed_independence_on_worked_example():
     for r in results[1:]:
         assert r.alpha == results[0].alpha
         assert r.components == results[0].components
+
+
+def test_point_on_8_ray_surface_within_30_s():
+    """V(z0, z1) on the surface with rays (1,0), (1,1), ..., (1,-1): its
+    Segre class is the point Dz0 . Dz1.  With a class alpha that is not
+    the least, this solve ran past 90 s."""
+    rays = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+            (1, -1))
+    cox = build_cox_context(
+        Fan(rays, tuple((i, (i + 1) % 8) for i in range(8))))
+    chow, prob = setup(cox, "z0", "z1")
+
+    def expire(_signum, _frame):
+        raise TimeoutError("the 8-ray point took more than 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        res = segre_class(prob, seed=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert res.alpha == (1, 3, 3, 4, 1, 0)
+    assert len(res.components) == 1
+    assert chow.degree(res.components[0]) == 1
+    assert res.components[0] == chow.multiply(chow.divisor(0),
+                                              chow.divisor(1))
 
 
 def test_determinism_same_seed():
