@@ -18,7 +18,8 @@ from math import comb
 from . import linalg
 from .errors import (CodimOverflow, NoIntegerLift, NormalizationInconsistent,
                      NotHomogeneous, RankMismatch)
-from .exactpoly import GrevLex, Polynomial, ungraded_context
+from .exactpoly import (GrevLex, Polynomial, monomials_of_total_degree,
+                        ungraded_context)
 from .groebner import MultigradedIdeal, groebner_basis, normal_form
 
 
@@ -203,9 +204,8 @@ def _assemble(cox, ctx, ideal, order, names):
 
     bases = []
     for p in range(k + 2):
-        basis = [m for m in _monomials_of_total_degree(r, p) if is_standard(m)]
-        basis.sort()
-        bases.append(tuple(basis))
+        bases.append(tuple(m for m in monomials_of_total_degree(r, p)
+                           if is_standard(m)))
     ranks = chow_ranks(fan)
     for p in range(k + 1):
         if len(bases[p]) != ranks[p]:
@@ -242,13 +242,3 @@ def _assemble(cox, ctx, ideal, order, names):
     return ChowRing(cox=cox, ctx=ctx, gb=gb, bases=tuple(bases[:k + 1]),
                     top=top, sign=sign)
 
-
-def _monomials_of_total_degree(nvars, d):
-    for bars in itertools.combinations(range(d + nvars - 1), nvars - 1):
-        prev = -1
-        out = []
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(d + nvars - 2 - prev)
-        yield tuple(out)

@@ -19,7 +19,7 @@ from .errors import InputError, NotHomogeneous, ToricSegreError
 from .exactpoly import multidegree_of
 from .fan import Fan, build_cox_context, validate_smooth_complete
 from .parser import parse_polynomial
-from .segre import preprocess, segre_class
+from .segre import DEFAULT_COEFF_BOUND, preprocess, segre_class
 
 # exit codes per diagnostic class; any unlisted error code exits 1
 EXIT_CODES = {
@@ -219,7 +219,7 @@ def main(argv=None):
                     help="master random seed (default 0)")
     ap.add_argument("--coeff-bound", type=int, default=None,
                     help="random coefficients drawn from +-[1, N] "
-                         "(default 100)")
+                         "(default %d)" % DEFAULT_COEFF_BOUND)
     ap.add_argument("--retries", type=int, default=None,
                     help="resample rounds before giving up (default 5)")
     ap.add_argument("--format", choices=("human", "json"), default=None,
@@ -248,7 +248,7 @@ def main(argv=None):
             return value
 
         seed = opt(args.seed, "seed", 0)
-        bound = opt(args.coeff_bound, "coeff_bound", 100)
+        bound = opt(args.coeff_bound, "coeff_bound", DEFAULT_COEFF_BOUND)
         retries = opt(args.retries, "retries", 5)
         fmt = opt(args.format, "format", "human")
         cox, chow, gens = build_problem(doc)

@@ -20,6 +20,7 @@ import itertools
 
 from . import linalg
 from .errors import InconsistentSystem, NotProjective
+from .exactpoly import monomials_of_degree
 
 
 def wall_relations(fan):
@@ -88,18 +89,6 @@ def _pairing(w, delta):
     return sum(wi * di for wi, di in zip(w, delta))
 
 
-def _section_count(alpha, cox):
-    """Number of monomials of degree alpha: the lattice points of
-    P_D = {m : <m, u_i> + a_i >= 0} for a divisor D = sum a_i D_i of class
-    alpha (Cox-Little-Schenck Prop. 4.3.3 and 5.4.1).  Counted in the
-    k-dimensional M rather than by listing the monomials, whose search
-    walks the r-dimensional heft simplex."""
-    a = linalg.solve_integer(cox.ring.grading, alpha)
-    fan = cox.fan
-    stages = linalg.fm_stages(list(zip(fan.rays, a)), fan.dim)
-    return sum(1 for _ in linalg.fm_integer_points(stages, ()))
-
-
 def _least_class(functionals, targets, cox):
     """The integer class alpha with w . alpha >= t_w for every wall
     functional w that minimizes sum_w w . alpha, ties broken by the number
@@ -140,7 +129,8 @@ def _least_class(functionals, targets, cox):
         if found:
             if len(found) == 1:
                 return found[0]
-            return min(found, key=lambda a: (_section_count(a, cox), a))
+            return min(found, key=lambda a: (
+                len(monomials_of_degree(a, cox.ring)), a))
         z += 1
 
 

@@ -9,8 +9,11 @@ is a pure function, so shared read-only use from several threads is safe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
+from . import linalg
 from .errors import EmptyDegree, NotHomogeneous, ZeroPolynomial
 
 Monomial = tuple  # exponent vector, one entry per variable
@@ -292,39 +295,46 @@ def multidegree_of(f, ctx):
     return delta
 
 
+@lru_cache(maxsize=1024)
 def monomials_of_degree(delta, ctx):
-    """All exponent vectors e >= 0 with grading . e == delta, in lexicographic
-    order.
+    """All exponent vectors e >= 0 with grading . e == delta, as a tuple in
+    lexicographic order.  ``delta`` must be a tuple: results are cached per
+    (delta, ring).
 
-    Finite because the heft weights are positive: each exponent is bounded by
-    the heft of delta.  Backtracks variable by variable, pruning on both the
-    residual heft and the residual degree.
+    These are the lattice points of the polytope P_delta (Cox-Little-Schenck
+    4.3): with e0 one integer solution of grading . e == delta and the
+    columns of K a Z-basis of the grading's integer kernel, from its Smith
+    form, they are the points e0 + K m >= 0, and Fourier-Motzkin lists the
+    m.  Finite because the heft weights are positive.
     """
-    delta = tuple(delta)
-    r = ctx.nvars
-    budget = ctx.heft_of(delta)
-    if budget < 0:
-        return []
-    weights = ctx.weights
-    cols = [ctx.degree_of_variable(i) for i in range(r)]
+    grading = [list(row) for row in ctx.grading]
+    e0 = linalg.solve_integer(grading, delta)
+    if e0 is None:
+        return ()
+    d, _u, v = linalg.smith_normal_form(grading)
+    rank = sum(1 for i in range(min(len(d), ctx.nvars)) if d[i][i])
+    kernel = [row[rank:] for row in v]
+    stages = linalg.fm_stages(list(zip(kernel, e0)), ctx.nvars - rank)
+    return tuple(sorted(
+        tuple(x + sum(k * mi for k, mi in zip(row, m))
+              for x, row in zip(e0, kernel))
+        for m in linalg.fm_integer_points(stages, ())))
+
+
+def monomials_of_total_degree(nvars, d):
+    """All exponent vectors of ``nvars`` entries >= 0 summing to ``d``, in
+    lexicographic order: each choice of nvars - 1 bar positions among
+    d + nvars - 1 slots gives the entries as the gaps between the bars."""
+    slots = d + nvars - 1
     out = []
-    e = [0] * r
-
-    def recurse(i, residual, budget):
-        if i == r:
-            if all(x == 0 for x in residual):
-                out.append(tuple(e))
-            return
-        w = weights[i]
-        col = cols[i]
-        for exp in range(budget // w + 1):
-            e[i] = exp
-            recurse(i + 1,
-                    tuple(x - exp * c for x, c in zip(residual, col)),
-                    budget - exp * w)
-        e[i] = 0
-
-    recurse(0, delta, budget)
+    for bars in itertools.combinations(range(slots), nvars - 1):
+        e = []
+        prev = -1
+        for b in bars:
+            e.append(b - prev - 1)
+            prev = b
+        e.append(slots - 1 - prev)
+        out.append(tuple(e))
     return out
 
 

@@ -28,10 +28,17 @@ from .cones import curve_functionals, find_alpha
 from .errors import (DimensionFailure, EmptySubscheme, InconsistentSystem,
                      NonIntegerSolution, NotZeroDimensional, RetriesExhausted,
                      WholeSpace)
-from .exactpoly import Polynomial, random_homogeneous
+from .exactpoly import (Polynomial, monomials_of_total_degree,
+                        random_homogeneous)
 from .fan import chart_dehomogenize
 from .groebner import (MultigradedIdeal, groebner_basis, krull_dimension,
                        saturate_ideal, vector_space_dimension)
+
+# Random coefficients are drawn from +-[1, DEFAULT_COEFF_BOUND].  A draw
+# whose sections meet Z non-transversally at the top codimension is not
+# detected (that codimension has no consistency row), so the range is wide
+# enough to make such draws rare (DECISIONS.md entry 12).
+DEFAULT_COEFF_BOUND = 2 ** 15
 
 RETRYABLE = (DimensionFailure, InconsistentSystem, NonIntegerSolution,
              NotZeroDimensional)
@@ -179,7 +186,7 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
     basis = chow.bases[d]
     h = len(basis)
     rows, gammas = [], []
-    ptuples = sorted(_exponent_tuples(r, k - d))
+    ptuples = monomials_of_total_degree(r, k - d)
     reached = None
     for pidx, p in enumerate(ptuples):
         prod = chow.reduce(Polynomial.from_monomial(p))
@@ -217,15 +224,6 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
             "residual class solved to %r" % (sol,))
     cls = chow.class_from_coefficients([int(x) for x in sol], d)
     return cls, tuple(map(tuple, rows)), tuple(gammas)
-
-
-def _exponent_tuples(nvars, total):
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponent_tuples(nvars - 1, total - head):
-            yield (head,) + rest
 
 
 def _attempt(problem, alpha, seed, attempt, coeff_bound):
@@ -273,7 +271,7 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
                        attempt=attempt, coeff_bound=coeff_bound)
 
 
-def segre_class(problem, seed=0, coeff_bound=100, retries=5):
+def segre_class(problem, seed=0, coeff_bound=DEFAULT_COEFF_BOUND, retries=5):
     """Push-forward Segre class of the subscheme, retrying with fresh
     randomness when a draw is degenerate."""
     alpha = find_alpha(problem.ideal.degrees, problem.cox,

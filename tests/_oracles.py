@@ -1,5 +1,5 @@
-"""Test oracles: ideal operations the program no longer computes this way,
-kept to check the ones it does."""
+"""Test oracles: ideal operations and monomial lists the program no longer
+computes this way, kept to check the ones it does."""
 
 from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
                                  _ideal_from_raw, saturate_ideal)
@@ -28,3 +28,35 @@ def saturate_by_intersection(I, J):
     for nxt in parts[1:]:
         acc = intersect(acc, nxt)
     return acc
+
+
+def monomials_by_heft_walk(delta, ctx):
+    """All exponent vectors e >= 0 with grading . e == delta, in
+    lexicographic order, by backtracking variable by variable over the heft
+    simplex: each exponent is bounded by the residual heft of delta."""
+    delta = tuple(delta)
+    r = ctx.nvars
+    budget = ctx.heft_of(delta)
+    if budget < 0:
+        return []
+    weights = ctx.weights
+    cols = [ctx.degree_of_variable(i) for i in range(r)]
+    out = []
+    e = [0] * r
+
+    def recurse(i, residual, budget):
+        if i == r:
+            if all(x == 0 for x in residual):
+                out.append(tuple(e))
+            return
+        w = weights[i]
+        col = cols[i]
+        for exp in range(budget // w + 1):
+            e[i] = exp
+            recurse(i + 1,
+                    tuple(x - exp * c for x, c in zip(residual, col)),
+                    budget - exp * w)
+        e[i] = 0
+
+    recurse(0, delta, budget)
+    return out

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, grading, and random section generation."""
 
+import itertools
 import random
 from math import comb
 
@@ -9,8 +10,14 @@ from hypothesis import strategies as st
 
 from toricsegre.errors import NotHomogeneous
 from toricsegre.exactpoly import (GrevLex, Polynomial, RingContext,
-                                  monomials_of_degree, multidegree_of,
+                                  monomials_of_degree,
+                                  monomials_of_total_degree, multidegree_of,
                                   random_homogeneous, ungraded_context)
+from toricsegre.library import (hirzebruch, product_p1_cubed,
+                                projective_space, threefold_p2_x_p1)
+
+from _oracles import monomials_by_heft_walk
+from test_cones import EIGHT_RAYS, FIVE_RAYS, cyclic_surface
 
 CTX2 = RingContext(names=("x", "y", "z"), grading=((1, 1, 1),), heft=(1,))
 # P1 x P1 style bigrading
@@ -67,6 +74,37 @@ def test_monomials_of_degree_counts():
 
 def test_monomials_of_degree_empty():
     assert list(monomials_of_degree((-1, 0), CTXB)) == []
+
+
+def test_monomials_of_degree_matches_heft_walk():
+    """The lattice points, in order, against the heft-simplex walk on
+    random degrees, some of them not effective, over P^1-P^3, F0-F3, P1^3,
+    P2 x P1 and the 5- and 8-ray surfaces, and on every variable degree."""
+    rings = [projective_space(n) for n in (1, 2, 3)]
+    rings += [hirzebruch(e) for e in range(4)]
+    rings += [product_p1_cubed(), threefold_p2_x_p1()]
+    rings += [cyclic_surface(FIVE_RAYS), cyclic_surface(EIGHT_RAYS)]
+    rng = random.Random(18)
+    for cox in rings:
+        ctx = cox.ring
+        r = ctx.nvars
+        top = 3 if r < 8 else 1
+        degrees = [ctx.degree_of_variable(i) for i in range(r)]
+        for _ in range(12):
+            e = [rng.randint(0, top) - rng.randint(0, 1) for _ in range(r)]
+            degrees.append(tuple(sum(row[i] * e[i] for i in range(r))
+                                 for row in ctx.grading))
+        for delta in degrees:
+            assert list(monomials_of_degree(delta, ctx)) == \
+                monomials_by_heft_walk(delta, ctx), (ctx.names, delta)
+
+
+def test_monomials_of_total_degree_lex():
+    for n in range(1, 5):
+        for d in range(4):
+            box = itertools.product(range(d + 1), repeat=n)
+            assert monomials_of_total_degree(n, d) == \
+                [e for e in box if sum(e) == d], (n, d)
 
 
 def test_random_homogeneous_degree_and_support():

@@ -3,30 +3,49 @@ oracles."""
 
 import random
 import signal
+from contextlib import contextmanager
 
 import pytest
 
 from toricsegre.chow import build_chow_ring
 from toricsegre.errors import EmptySubscheme, WholeSpace
-from toricsegre.exactpoly import (Polynomial, multidegree_of,
-                                  random_homogeneous)
-from toricsegre.fan import Fan, build_cox_context, chart_dehomogenize
+from toricsegre.cones import find_alpha
+from toricsegre.exactpoly import (Polynomial, monomials_of_degree,
+                                  multidegree_of, random_homogeneous)
+from toricsegre.fan import chart_dehomogenize
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  saturate_ideal, vector_space_dimension)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space)
 from toricsegre.parser import parse_polynomial
 from toricsegre import segre
-from toricsegre.segre import (pick_sections, preprocess, segre_class,
-                              zero_dim_length)
+from toricsegre.segre import (DEFAULT_COEFF_BOUND, pick_sections,
+                              preprocess, segre_class, zero_dim_length)
 
 from _oracles import intersect, saturate_by_intersection
+from test_cones import (EIGHT_RAYS, FIVE_RAYS, TWELVE_RAYS,
+                        cyclic_surface)
 
 
 def setup(cox, *texts):
     chow = build_chow_ring(cox)
     gens = [parse_polynomial(t, cox.ring) for t in texts]
     return chow, preprocess(cox, chow, gens)
+
+
+@contextmanager
+def time_limit(seconds, what):
+    """Raise TimeoutError inside the block once ``seconds`` have passed."""
+    def expire(_signum, _frame):
+        raise TimeoutError("%s took more than %d s" % (what, seconds))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_preprocess_dimensions():
@@ -90,7 +109,6 @@ def test_twisted_cubic_in_p3():
 
 
 def test_sections_have_degree_alpha_and_lie_in_ideal():
-    from toricsegre.cones import find_alpha
     cox = hirzebruch(1)
     chow, prob = setup(cox, "x1^2*y0^2 + x0^3*x1*y1^2",
                        "x1*y0^2*y1^2 + x0^3*y1^4")
@@ -109,7 +127,6 @@ def test_colon_saturation_stability():
     """Each chart ideal of the residual equals the chart of the Cox-ring
     residual ((F : B^inf) : I^inf), on the F1 worked example (d = 1, 2)
     and the point V(x0, y0, z0) on P1^3 (d = 3)."""
-    from toricsegre.cones import find_alpha
     from toricsegre.segre import residual_ideal
     cases = [(hirzebruch(1), ("x1^2*y0^2 + x0^3*x1*y1^2",
                               "x1*y0^2*y1^2 + x0^3*y1^4"), (1, 2)),
@@ -258,7 +275,9 @@ def test_seed_independence_on_worked_example():
     cox = hirzebruch(1)
     chow, prob = setup(cox, "x1^2*y0^2 + x0^3*x1*y1^2",
                        "x1*y0^2*y1^2 + x0^3*y1^4")
-    results = [segre_class(prob, seed=s) for s in (0, 1, 2)]
+    # at seed 500 and coefficients in +-[1, 100] the two sections are
+    # tangent at Z and s_1 came out as -5 Dy0^2
+    results = [segre_class(prob, seed=s) for s in (0, 1, 2, 500)]
     for r in results[1:]:
         assert r.alpha == results[0].alpha
         assert r.components == results[0].components
@@ -268,27 +287,44 @@ def test_point_on_8_ray_surface_within_30_s():
     """V(z0, z1) on the surface with rays (1,0), (1,1), ..., (1,-1): its
     Segre class is the point Dz0 . Dz1.  With a class alpha that is not
     the least, this solve ran past 90 s."""
-    rays = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
-            (1, -1))
-    cox = build_cox_context(
-        Fan(rays, tuple((i, (i + 1) % 8) for i in range(8))))
+    cox = cyclic_surface(EIGHT_RAYS)
     chow, prob = setup(cox, "z0", "z1")
-
-    def expire(_signum, _frame):
-        raise TimeoutError("the 8-ray point took more than 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    try:
+    with time_limit(30, "the 8-ray point"):
         res = segre_class(prob, seed=0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert res.alpha == (1, 3, 3, 4, 1, 0)
     assert len(res.components) == 1
     assert chow.degree(res.components[0]) == 1
     assert res.components[0] == chow.multiply(chow.divisor(0),
                                               chow.divisor(1))
+
+
+def test_point_on_5_ray_surface_at_tangent_draws():
+    """V(z0, z1) on the 5-ray surface is the point Dz0 . Dz1.  At these
+    seeds, with coefficients in +-[1, 100], the linear parts of the two
+    sections at the point were proportional, the saturation removed a
+    length-2 piece, and the class came out twice the point."""
+    cox = cyclic_surface(FIVE_RAYS)
+    chow, prob = setup(cox, "z0", "z1")
+    point = chow.multiply(chow.divisor(0), chow.divisor(1))
+    for seed in (5779, 51009):
+        res = segre_class(prob, seed=seed)
+        assert res.components == (point,), seed
+
+
+def test_sections_of_12_ray_point_within_2_s():
+    """The sections of V(z0, z1) on a 12-ray surface have 17 monomials
+    each; walking the heft simplex to list them ran past 30 s."""
+    cox = cyclic_surface(TWELVE_RAYS)
+    gens = [parse_polynomial(t, cox.ring) for t in ("z0", "z1")]
+    prob = preprocess(cox, None, gens)  # sections need no Chow ring
+    alpha = find_alpha(prob.ideal.degrees, cox, prob.functionals)
+    monomials_of_degree.cache_clear()
+    with time_limit(2, "the 12-ray sections"):
+        sections = pick_sections(prob, alpha, 2, random.Random(0),
+                                 DEFAULT_COEFF_BOUND)
+    assert [len(f.coeffs) for f in sections] == [17, 17]
+    for f in sections:
+        assert multidegree_of(f, cox.ring) == alpha
 
 
 def test_determinism_same_seed():
