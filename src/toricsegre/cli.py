@@ -178,7 +178,9 @@ def build_output(cox, chow, problem, result, retries):
             "coeff_bound": result.coeff_bound,
             "retries": retries,
             "attempt": result.attempt,
-            "consistency_rows_verified": True,
+            "consistency_rows_verified": all(
+                len(rd.beta_rows) > len(chow.bases[rd.d])
+                for rd in result.residuals if rd.dimension is not None),
         },
     }
 

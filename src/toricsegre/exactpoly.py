@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .errors import EmptyDegree, NotHomogeneous, ZeroPolynomial
@@ -94,9 +95,9 @@ class GrevLex:
         self._rev = tuple(reversed(self.perm))
 
     def key(self, e):
-        w = self.weights
-        return (sum(w[i] * e[i] for i in range(len(e))),
-                tuple(-e[i] for i in self._rev))
+        """Flat int tuple, leading monomial first: the negated weighted
+        degree, then the exponents of ``perm`` in reverse."""
+        return (-sum(map(mul, self.weights, e)), *[e[i] for i in self._rev])
 
     def __repr__(self):
         return "GrevLex(weights=%r, perm=%r)" % (self.weights, self.perm)
@@ -110,19 +111,23 @@ class BlockOrder:
     lies in the subring omitting them.
     """
 
-    __slots__ = ("front", "rest", "weights")
+    __slots__ = ("front", "rest", "weights", "_front_rev", "_rest_rev")
 
     def __init__(self, front, weights):
         self.front = tuple(sorted(front))
         self.weights = tuple(weights)
         self.rest = tuple(i for i in range(len(self.weights)) if i not in set(self.front))
+        self._front_rev = tuple(reversed(self.front))
+        self._rest_rev = tuple(reversed(self.rest))
 
     def key(self, e):
+        """Flat int tuple, leading monomial first: each block's negated
+        weighted degree followed by its exponents in reverse."""
         w = self.weights
-        return (sum(w[i] * e[i] for i in self.front),
-                tuple(-e[i] for i in reversed(self.front)),
-                sum(w[i] * e[i] for i in self.rest),
-                tuple(-e[i] for i in reversed(self.rest)))
+        return (-sum([w[i] * e[i] for i in self.front]),
+                *[e[i] for i in self._front_rev],
+                -sum([w[i] * e[i] for i in self.rest]),
+                *[e[i] for i in self._rest_rev])
 
     def __repr__(self):
         return "BlockOrder(front=%r, weights=%r)" % (self.front, self.weights)
@@ -228,11 +233,6 @@ class Polynomial:
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
         return other
-
-    def terms(self, order):
-        """Terms as (monomial, coefficient), sorted descending by ``order``."""
-        return sorted(self.coeffs.items(), key=lambda t: order.key(t[0]),
-                      reverse=True)
 
     def set_to_one(self, indices):
         """Substitute 1 for the given variables and drop them from the ring."""

@@ -1,5 +1,4 @@
-"""Fan data model and validation, Cox grading, irrelevant ideal and chart
-dehomogenization.
+"""Fan data model and validation, Cox grading and chart dehomogenization.
 
 A fan is given by its primitive ray generators and its maximal cones (index
 sets).  Validation certifies smoothness (every maximal cone unimodular) and
@@ -19,7 +18,7 @@ from math import gcd
 from . import linalg
 from .errors import (InvalidFan, InvalidGrading, NoPositiveGrading,
                      NotComplete, NotSmooth)
-from .exactpoly import Polynomial, RingContext, ungraded_context
+from .exactpoly import RingContext, ungraded_context
 from .groebner import MultigradedIdeal
 
 
@@ -234,12 +233,10 @@ def validate_degree_matrix(fan, degrees):
 
 @dataclass(frozen=True)
 class CoxContext:
-    """Ring context of the Cox ring together with the fan and the
-    irrelevant ideal."""
+    """Ring context of the Cox ring together with the fan."""
 
     ring: RingContext
     fan: Fan
-    irrelevant: MultigradedIdeal
 
     @property
     def nvars(self):
@@ -248,7 +245,7 @@ class CoxContext:
 
 def build_cox_context(fan, names=None, degrees=None):
     """Cox ring of the fan: grading (canonical or user-supplied after
-    validation), heft, and the irrelevant ideal."""
+    validation) and heft."""
     r = fan.nrays
     if names is None:
         names = tuple("z%d" % i for i in range(r))
@@ -264,20 +261,7 @@ def build_cox_context(fan, names=None, degrees=None):
         a = validate_degree_matrix(fan, degrees)
         heft = find_heft(a)
     ring = RingContext(names=names, grading=a, heft=heft)
-    return CoxContext(ring=ring, fan=fan,
-                      irrelevant=irrelevant_ideal(fan, ring))
-
-
-def irrelevant_ideal(fan, ring):
-    """The ideal with one squarefree generator per maximal cone: the
-    product of the variables of the rays outside the cone."""
-    gens = []
-    for cone in fan.max_cones:
-        e = [0] * fan.nrays
-        for i in fan.cone_complement(cone):
-            e[i] = 1
-        gens.append(Polynomial.from_monomial(tuple(e)))
-    return MultigradedIdeal.create(gens, ring)
+    return CoxContext(ring=ring, fan=fan)
 
 
 def chart_context(cox, cone_index):

@@ -6,7 +6,10 @@ Coefficients are integers throughout.  The engine works directly on the
 coefficient dicts of :class:`exactpoly.Polynomial` values (exponent tuple ->
 int): Buchberger runs fraction-free and keeps basis elements primitive
 (content 1, positive leading coefficient), and normal forms are exact
-integer reductions by the basis scaled to monic leads.
+integer reductions by the basis scaled to monic leads.  A reduction keys
+each term once by ``order.key`` (ascending keys list the leading monomial
+first) and pops its leads from a heap, so remainders come out in
+decreasing order; a basis stores its leads.
 
 Saturation is one elimination with a new variable y_i per generator g_i
 of J:  (I : J^inf) = (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import NonIntegerCoefficient, NotHomogeneous, NotZeroDimensional
@@ -33,11 +37,12 @@ def _content(p):
     return g
 
 
-def _primitive(p, order):
+def _primitive(p, lead):
+    """p divided by its content, with a positive coefficient at ``lead``."""
     if not p:
         return p
     g = _content(p)
-    if p[max(p, key=order.key)] < 0:
+    if p[lead] < 0:
         g = -g
     if g == 1:
         return p
@@ -78,29 +83,53 @@ def _spoly(f, lf, g, lg, order):
     return out
 
 
+def _subtract_tail(num, heap, key, m, lm, q, b):
+    """num -= b * (m / lm) * (q minus its lead term), the step that cancels
+    the popped term at m.  A monomial new to num goes on the heap with its
+    key; a cancelled one leaves num, and its heap entry is skipped."""
+    shift = tuple(x - y for x, y in zip(m, lm))
+    for mm, cc in q.items():
+        if mm == lm:
+            continue
+        mm2 = _monomial_mul(mm, shift)
+        old = num.get(mm2)
+        if old is None:
+            num[mm2] = -b * cc
+            heappush(heap, (key(mm2), mm2))
+        else:
+            s = old - b * cc
+            if s:
+                num[mm2] = s
+            else:
+                del num[mm2]
+
+
 def _reduce(p, reducers, order):
-    """Full fraction-free reduction of p modulo the reducers.
+    """Full fraction-free reduction of p modulo the reducers, given as
+    (lead, poly, lead coefficient) in ascending-lead order.
 
     Returns the primitive remainder: a rational multiple of the exact
-    normal form, which is all Buchberger needs.
+    normal form, which is all Buchberger needs.  Its terms come in
+    decreasing order, so its first monomial is its lead.
     """
+    key = order.key
     num = dict(p)
+    # the live terms, keyed once each: pops come leading-first
+    heap = [(key(m), m) for m in num]
+    heapify(heap)
     res = {}
     steps = 0
-    key = order.key
-    while num:
-        m = max(num, key=key)
-        c = num[m]
-        hit = None
+    while heap:
+        m = heappop(heap)[1]
+        c = num.pop(m, 0)
+        if not c:
+            continue
         for lm, q, lc in reducers:
             if _monomial_divides(lm, m):
-                hit = (lm, q, lc)
                 break
-        if hit is None:
-            del num[m]
+        else:
             res[m] = c
             continue
-        lm, q, lc = hit
         d = gcd(c, lc)
         a, b = lc // d, c // d
         if a != 1:
@@ -108,14 +137,7 @@ def _reduce(p, reducers, order):
                 num[k] *= a
             for k in res:
                 res[k] *= a
-        shift = tuple(x - y for x, y in zip(m, lm))
-        for mm, cc in q.items():
-            mm2 = _monomial_mul(mm, shift)
-            s = num.get(mm2, 0) - b * cc
-            if s:
-                num[mm2] = s
-            else:
-                num.pop(mm2, None)
+        _subtract_tail(num, heap, key, m, lm, q, b)
         steps += 1
         if steps % 16 == 0 and (num or res):
             g = 0
@@ -126,11 +148,12 @@ def _reduce(p, reducers, order):
             if g > 1:
                 num = {k: v // g for k, v in num.items()}
                 res = {k: v // g for k, v in res.items()}
-    return _primitive(res, order)
+    return _primitive(res, next(iter(res))) if res else res
 
 
 def _buchberger(gens, order):
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+    """Reduced Groebner basis of the ideal generated by ``gens``, as a list
+    of (lead monomial, element) sorted by decreasing lead.
 
     Classic Buchberger with the Gebauer-Moller update (criteria M, F and
     B_k) and normal pair selection, after Becker-Weispfenning.
@@ -139,16 +162,18 @@ def _buchberger(gens, order):
     f = []
     seen = set()
     for p in gens:
-        p = _primitive(dict(p), order)
         if p:
+            lm = min(p, key=key)
+            p = _primitive(dict(p), lm)
             fs = frozenset(p.items())
             if fs not in seen:
                 seen.add(fs)
-                f.append(p)
+                f.append((lm, p))
     if not f:
         return []
-    f.sort(key=lambda p: key(max(p, key=key)), reverse=True)
-    lms = [max(p, key=key) for p in f]
+    f.sort(key=lambda t: key(t[0]))
+    lms = [lm for lm, _p in f]
+    f = [p for _lm, p in f]
 
     def lcm_ij(i, j):
         return _monomial_lcm(lms[i], lms[j])
@@ -189,29 +214,24 @@ def _buchberger(gens, order):
         G, B = update(G, B, i)
 
     while B:
-        i, j = min(B, key=lambda p: key(lcm_ij(p[0], p[1])))
+        i, j = max(B, key=lambda p: key(lcm_ij(p[0], p[1])))
         B.remove((i, j))
         s = _spoly(f[i], lms[i], f[j], lms[j], order)
         reducers = sorted(((lms[g], f[g], f[g][lms[g]]) for g in G),
-                          key=lambda t: key(t[0]))
+                          key=lambda t: key(t[0]), reverse=True)
         h = _reduce(s, reducers, order)
         if h:
             f.append(h)
-            lms.append(max(h, key=key))
+            lms.append(next(iter(h)))
             G, B = update(G, B, len(f) - 1)
 
-    # tail-reduce to the unique reduced basis
-    result = []
-    for g in sorted(G, key=lambda g: key(lms[g])):
-        reducers = sorted(
-            ((lms[j], f[j], f[j][lms[j]]) for j in G if j != g
-             and not _monomial_divides(lms[g], lms[j])),
-            key=lambda t: key(t[0]))
-        h = _reduce(f[g], reducers, order)
-        if h:
-            result.append(h)
-    result.sort(key=lambda p: key(max(p, key=key)), reverse=True)
-    return result
+    # tail-reduce to the unique reduced basis; a lead of G divides no
+    # other, so each element keeps its lead
+    ordered = sorted(G, key=lambda g: key(lms[g]))
+    reducers = [(lms[g], f[g], f[g][lms[g]]) for g in reversed(ordered)]
+    return [(lms[g], _reduce(f[g], [t for t in reducers if t[0] != lms[g]],
+                             order))
+            for g in ordered]
 
 
 # --- public types ----------------------------------------------------------
@@ -269,15 +289,16 @@ class MultigradedIdeal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis; elements are primitive integer polynomials
-    with positive leading coefficients, sorted by decreasing lead."""
+    with positive leading coefficients, sorted by decreasing lead, and
+    ``leads`` holds their lead monomials."""
 
     elements: tuple
+    leads: tuple
     order: object
-    reduced: bool
     ctx: RingContext
 
     def lead_monomials(self):
-        return tuple(max(g.coeffs, key=self.order.key) for g in self.elements)
+        return self.leads
 
 
 def groebner_basis(I, order=None):
@@ -292,8 +313,8 @@ def groebner_basis(I, order=None):
         return hit
     basis = _buchberger([g.coeffs for g in I.generators], order)
     gb = GroebnerBasis(
-        elements=tuple(Polynomial(I.ctx.nvars, p) for p in basis),
-        order=order, reduced=True, ctx=I.ctx)
+        elements=tuple(Polynomial(I.ctx.nvars, p) for _lm, p in basis),
+        leads=tuple(lm for lm, _p in basis), order=order, ctx=I.ctx)
     I._cache[cache_key] = gb
     return gb
 
@@ -306,32 +327,30 @@ def normal_form(f, G):
     divide the coefficient it has to cancel.
     """
     key = G.order.key
-    reducers = sorted(((max(g.coeffs, key=key), g.coeffs)
-                       for g in G.elements), key=lambda t: key(t[0]))
+    # the elements in ascending-lead order; the first whose lead divides
+    # reduces
+    reducers = [(lm, g.coeffs)
+                for lm, g in zip(reversed(G.leads), reversed(G.elements))]
     num = dict(f.coeffs)
+    heap = [(key(m), m) for m in num]
+    heapify(heap)
     res = {}
-    while num:
-        m = max(num, key=key)
-        c = num[m]
+    while heap:
+        m = heappop(heap)[1]
+        c = num.pop(m, 0)
+        if not c:
+            continue
         for lm, q in reducers:
             if _monomial_divides(lm, m):
                 break
         else:
-            del num[m]
             res[m] = c
             continue
         b, rest = divmod(c, q[lm])
         if rest:
             raise NonIntegerCoefficient(
                 "lead coefficient %d does not divide %d" % (q[lm], c))
-        shift = tuple(x - y for x, y in zip(m, lm))
-        for mm, cc in q.items():
-            mm2 = _monomial_mul(mm, shift)
-            s = num.get(mm2, 0) - b * cc
-            if s:
-                num[mm2] = s
-            else:
-                num.pop(mm2, None)
+        _subtract_tail(num, heap, key, m, lm, q, b)
     return Polynomial(f.nvars, res)
 
 
@@ -348,9 +367,8 @@ def _eliminate_extra_raw(raw, base_weights, n_extra):
     r = len(base_weights)
     weights = tuple(base_weights) + (1,) * n_extra
     order = BlockOrder(range(r, r + n_extra), weights)
-    basis = _buchberger(raw, order)
     out = []
-    for p in basis:
+    for _lm, p in _buchberger(raw, order):
         if all(all(m[r + i] == 0 for i in range(n_extra)) for m in p):
             out.append({m[:r]: c for m, c in p.items()})
     return out

@@ -144,24 +144,27 @@ def zero_dim_length(I, cox):
 
     ``I`` is its Cox-ring ideal or the tuple of its chart ideals.  Chart t
     contributes the length of the part of V(I) supported away from all
-    earlier charts.  With J the chart ideal, v = vsdim(J) and m_s the
-    dehomogenized irrelevant monomials of the earlier cones, that part is
-    cut out by J + (m_s^v): k[x]/J is the product of its local rings, each
-    of length at most v, so m_s^v is zero in the local ring of a point
-    where m_s vanishes and a unit in that of a point of chart s.  Raises
+    earlier charts.  With J the chart ideal and v = vsdim(J), let m_s be
+    the product of the chart variables of the rays outside an earlier
+    cone s (the dehomogenized irrelevant monomial of s).  That part is cut
+    out by J + (m_s^v): k[x]/J is the product of its local rings, each of
+    length at most v, so m_s^v is zero in the local ring of a point where
+    m_s vanishes and a unit in that of a point of chart s.  Raises
     NotZeroDimensional when some chart ideal is not Artinian.
     """
     if isinstance(I, MultigradedIdeal):
         I = _charts(I, cox)
     total = 0
-    irr = cox.irrelevant.generators
+    cones = cox.fan.max_cones
     for t, J in enumerate(I):
         v = vector_space_dimension(J)
         if t == 0 or v == 0:
             total += v
             continue
-        off = cox.fan.cone_complement(cox.fan.max_cones[t])
-        earlier = tuple(irr[s].set_to_one(off) ** v for s in range(t))
+        earlier = tuple(
+            Polynomial.from_monomial(tuple(0 if i in s else v
+                                           for i in cones[t]))
+            for s in cones[:t])
         new = MultigradedIdeal.create(groebner_basis(J).elements + earlier,
                                       J.ctx)
         total += vector_space_dimension(new)

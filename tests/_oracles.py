@@ -1,8 +1,26 @@
-"""Test oracles: ideal operations and monomial lists the program no longer
-computes this way, kept to check the ones it does."""
+"""Test oracles: ideal operations, reductions and monomial lists the
+program no longer computes this way, kept to check the ones it does."""
 
+from math import gcd
+
+from toricsegre.errors import NonIntegerCoefficient
+from toricsegre.exactpoly import Polynomial
 from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
-                                 _ideal_from_raw, saturate_ideal)
+                                 _ideal_from_raw, _monomial_divides,
+                                 _monomial_mul, _primitive, saturate_ideal)
+
+
+def irrelevant_ideal(cox):
+    """The irrelevant ideal B of the Cox ring: one squarefree generator per
+    maximal cone, the product of the variables of the rays outside it."""
+    fan = cox.fan
+    gens = []
+    for cone in fan.max_cones:
+        e = [0] * fan.nrays
+        for i in fan.cone_complement(cone):
+            e[i] = 1
+        gens.append(Polynomial.from_monomial(tuple(e)))
+    return MultigradedIdeal.create(gens, cox.ring)
 
 
 def intersect(I, J):
@@ -60,3 +78,81 @@ def monomials_by_heft_walk(delta, ctx):
 
     recurse(0, delta, budget)
     return out
+
+
+def _subtract(num, m, lm, q, b):
+    """num -= b * (m / lm) * q, dropping cancelled terms."""
+    shift = tuple(x - y for x, y in zip(m, lm))
+    for mm, cc in q.items():
+        mm2 = _monomial_mul(mm, shift)
+        s = num.get(mm2, 0) - b * cc
+        if s:
+            num[mm2] = s
+        else:
+            num.pop(mm2, None)
+
+
+def reduce_by_scan(p, reducers, order):
+    """``groebner._reduce`` as it was before the heap: each step scans every
+    live term for the lead, keying each one again."""
+    key = order.key
+    num = dict(p)
+    res = {}
+    steps = 0
+    while num:
+        m = min(num, key=key)
+        c = num[m]
+        for lm, q, lc in reducers:
+            if _monomial_divides(lm, m):
+                break
+        else:
+            del num[m]
+            res[m] = c
+            continue
+        d = gcd(c, lc)
+        a, b = lc // d, c // d
+        if a != 1:
+            for k in num:
+                num[k] *= a
+            for k in res:
+                res[k] *= a
+        _subtract(num, m, lm, q, b)
+        steps += 1
+        if steps % 16 == 0 and (num or res):
+            g = 0
+            for cc in num.values():
+                g = gcd(g, abs(cc))
+            for cc in res.values():
+                g = gcd(g, abs(cc))
+            if g > 1:
+                num = {k: v // g for k, v in num.items()}
+                res = {k: v // g for k, v in res.items()}
+    return _primitive(res, min(res, key=key)) if res else res
+
+
+def normal_form_by_scan(f, G):
+    """``groebner.normal_form`` as it was before the heap and the stored
+    leads: the leads of G are found and sorted again on every call, and
+    each step scans every live term for the lead."""
+    key = G.order.key
+    reducers = sorted(((min(g.coeffs, key=key), g.coeffs)
+                       for g in G.elements),
+                      key=lambda t: key(t[0]), reverse=True)
+    num = dict(f.coeffs)
+    res = {}
+    while num:
+        m = min(num, key=key)
+        c = num[m]
+        for lm, q in reducers:
+            if _monomial_divides(lm, m):
+                break
+        else:
+            del num[m]
+            res[m] = c
+            continue
+        b, rest = divmod(c, q[lm])
+        if rest:
+            raise NonIntegerCoefficient(
+                "lead coefficient %d does not divide %d" % (q[lm], c))
+        _subtract(num, m, lm, q, b)
+    return Polynomial(f.nvars, res)

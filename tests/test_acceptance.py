@@ -22,7 +22,7 @@ from toricsegre.parser import parse_polynomial
 from toricsegre.segre import preprocess, segre_class, zero_dim_length
 from toricsegre import linalg
 
-from _oracles import intersect
+from _oracles import intersect, irrelevant_ideal
 
 SEEDS = (0, 1, 2)
 
@@ -275,7 +275,7 @@ def test_criterion_8_length_oracle(example1, example2, capsys):
                     total += 1
                 I = MultigradedIdeal.create(gens, cox.ring)
                 ideal = I if ideal is None else intersect(ideal, I)
-            ideal = saturate_ideal(ideal, cox.irrelevant)
+            ideal = saturate_ideal(ideal, irrelevant_ideal(cox))
             assert zero_dim_length(ideal, cox) == total, (space, chosen)
             cases += 1
     assert cases == 20

@@ -29,6 +29,13 @@ P13_DOC = {
     "ideal": ["x0*z0^2", "y0*z0 + z0*y1"],
 }
 
+TWISTED_CUBIC_DOC = {
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "max_cones": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+    "variables": ["x0", "x1", "x2", "x3"],
+    "ideal": ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"],
+}
+
 
 def write_doc(tmp_path, doc, name="in.json"):
     path = tmp_path / name
@@ -102,6 +109,19 @@ def test_json_output_deterministic(tmp_path, capsys):
     doc = json.loads(outs[0])
     assert doc["n"] == 2
     assert doc["provenance"]["seed"] == 3
+
+
+def test_consistency_rows_verified_needs_a_spare_row(tmp_path, capsys):
+    """Only a residual solved from more rows than unknowns has a
+    consistency row.  Example 1's codimension-2 residual is solved from
+    its single row; the twisted cubic's one nonempty residual has two rows
+    for one unknown."""
+    for doc, verified in ((F1_DOC, False), (TWISTED_CUBIC_DOC, True)):
+        rc = cli.main(["--input", write_doc(tmp_path, doc),
+                       "--format", "json"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["provenance"]["consistency_rows_verified"] is verified
 
 
 def test_seed_changes_are_reported_but_classes_stable(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricsegre.errors import NotHomogeneous
-from toricsegre.exactpoly import (GrevLex, Polynomial, RingContext,
-                                  monomials_of_degree,
+from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
+                                  RingContext, monomials_of_degree,
                                   monomials_of_total_degree, multidegree_of,
                                   random_homogeneous, ungraded_context)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
@@ -25,10 +25,46 @@ CTXB = RingContext(names=("x0", "x1", "y0", "y1"),
                    grading=((1, 1, 0, 0), (0, 0, 1, 1)), heft=(1, 1))
 
 
-def polys(nvars=3):
-    monomial = st.tuples(*([st.integers(0, 3)] * nvars))
-    return st.dictionaries(monomial, st.integers(-5, 5), max_size=5).map(
+def polys(nvars=3, max_exp=3, max_size=5):
+    monomial = st.tuples(*([st.integers(0, max_exp)] * nvars))
+    return st.dictionaries(monomial, st.integers(-5, 5),
+                           max_size=max_size).map(
         lambda d: Polynomial(nvars, {m: c for m, c in d.items() if c}))
+
+
+@st.composite
+def orders(draw, nvars):
+    """GrevLex with random weights and a perm other than the natural
+    order, or a BlockOrder with a random proper front block."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=nvars,
+                            max_size=nvars))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(nvars)).filter(
+            lambda p: p != sorted(p)))
+        return GrevLex(weights, perm)
+    front = draw(st.sets(st.integers(0, nvars - 1), min_size=1,
+                         max_size=nvars - 1))
+    return BlockOrder(front, weights)
+
+
+def leads(a, b, order):
+    """Whether monomial a is greater than b, from the order's definition:
+    block by block (one block for GrevLex, ordered by ``perm``), the larger
+    weighted degree wins, and then the last variable of the block where the
+    exponents differ decides, the smaller exponent winning."""
+    if isinstance(order, GrevLex):
+        blocks = (order.perm,)
+    else:
+        blocks = (order.front, order.rest)
+    for block in blocks:
+        da = sum(order.weights[i] * a[i] for i in block)
+        db = sum(order.weights[i] * b[i] for i in block)
+        if da != db:
+            return da > db
+        for i in reversed(block):
+            if a[i] != b[i]:
+                return a[i] < b[i]
+    return False
 
 
 @given(polys(), polys(), polys())
@@ -136,7 +172,18 @@ def test_grevlex_order_p2():
     # x^2 > x y > y^2 > x z > y z > z^2 under grevlex with x > y > z
     monos = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1),
              (0, 0, 2)]
-    assert sorted(monos, key=order.key, reverse=True) == monos
+    assert sorted(monos, key=order.key) == monos
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_sorting_by_key_lists_the_leading_monomial_first(data):
+    nvars = data.draw(st.integers(2, 5))
+    order = data.draw(orders(nvars))
+    monos = data.draw(st.lists(st.tuples(*([st.integers(0, 3)] * nvars)),
+                               min_size=2, max_size=12, unique=True))
+    ranked = sorted(monos, key=order.key)
+    assert all(leads(a, b, order) for a, b in zip(ranked, ranked[1:]))
 
 
 def test_ungraded_context():

@@ -3,10 +3,14 @@ length, cross-checked against hand computations and sympy.  Membership and
 ideal equality are read off the canonical reduced bases."""
 
 import random
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricsegre import groebner
 from toricsegre.errors import NonIntegerCoefficient, NotZeroDimensional
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
                                   monomials_of_degree, ungraded_context)
@@ -14,7 +18,8 @@ from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  krull_dimension, normal_form, saturate_ideal,
                                  vector_space_dimension)
 
-from _oracles import intersect
+from _oracles import intersect, normal_form_by_scan, reduce_by_scan
+from test_exactpoly import leads, orders, polys
 
 XY = ungraded_context(("x", "y"))
 XYZ = ungraded_context(("x", "y", "z"))
@@ -212,3 +217,48 @@ def test_groebner_cache_tells_block_orders_apart():
     assert groebner_basis(I, heavy_y).lead_monomials() == ((1, 1, 0),
                                                            (0, 0, 2))
     assert len(flat.elements) == 3
+
+
+def _terms_or_error(fn, f, G):
+    """Terms of fn(f, G) in the order they are stored, or the message of
+    the NonIntegerCoefficient it raises."""
+    try:
+        return list(fn(f, G).coeffs.items())
+    except NonIntegerCoefficient as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_heap_reduction_matches_scan_oracle(data):
+    """On random ideals, under GrevLex with a non-natural perm and under
+    BlockOrder: reduction by the generators and the basis are the ones the
+    scanning reduction gives, term for term; the stored leads are each
+    element's greatest monomial; and normal_form equals the scanning
+    oracle or raises the same error."""
+    nvars = data.draw(st.integers(2, 3))
+    order = data.draw(orders(nvars))
+    gens = data.draw(st.lists(
+        polys(nvars, max_exp=2, max_size=3).filter(bool), min_size=2,
+        max_size=3))
+    raw = [g.coeffs for g in gens]
+    key = order.key
+    leads_of_raw = [min(q, key=key) for q in raw]
+    reducers = sorted(((lm, q, q[lm]) for lm, q in zip(leads_of_raw, raw)),
+                      key=lambda t: key(t[0]), reverse=True)
+    for f in data.draw(st.lists(polys(nvars), min_size=1, max_size=4)):
+        assert (list(groebner._reduce(f.coeffs, reducers, order).items())
+                == list(reduce_by_scan(f.coeffs, reducers, order).items()))
+    with mock.patch.object(groebner, "_reduce", reduce_by_scan):
+        by_scan = groebner._buchberger(raw, order)
+    by_heap = groebner._buchberger(raw, order)
+    assert ([(lm, list(p.items())) for lm, p in by_heap]
+            == [(lm, list(p.items())) for lm, p in by_scan])
+
+    ctx = ungraded_context("xyz"[:nvars])
+    G = groebner_basis(ideal(ctx, *gens), order)
+    for g, lm in zip(G.elements, G.lead_monomials()):
+        assert all(leads(lm, m, order) for m in g.coeffs if m != lm)
+    for f in data.draw(st.lists(polys(nvars), min_size=1, max_size=4)):
+        assert (_terms_or_error(normal_form, f, G)
+                == _terms_or_error(normal_form_by_scan, f, G))

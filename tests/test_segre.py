@@ -22,7 +22,8 @@ from toricsegre import segre
 from toricsegre.segre import (DEFAULT_COEFF_BOUND, pick_sections,
                               preprocess, segre_class, zero_dim_length)
 
-from _oracles import intersect, saturate_by_intersection
+from _oracles import (intersect, irrelevant_ideal,
+                      saturate_by_intersection)
 from test_cones import (EIGHT_RAYS, FIVE_RAYS, TWELVE_RAYS,
                         cyclic_surface)
 
@@ -70,7 +71,7 @@ def test_preprocess_empty_subscheme():
                                for t in ("x0", "x1", "x2")])
     # the irrelevant ideal itself cuts out nothing
     with pytest.raises(EmptySubscheme):
-        preprocess(cox, chow, list(cox.irrelevant.generators))
+        preprocess(cox, chow, list(irrelevant_ideal(cox).generators))
 
 
 def test_preprocess_whole_space():
@@ -139,8 +140,8 @@ def test_colon_saturation_stability():
             sections = pick_sections(prob, alpha, d, rng, 50)
             charts = residual_ideal(prob, sections)
             F = MultigradedIdeal.create(sections, cox.ring)
-            cox_residual = saturate_ideal(saturate_ideal(F, cox.irrelevant),
-                                          prob.ideal)
+            cox_residual = saturate_ideal(
+                saturate_ideal(F, irrelevant_ideal(cox)), prob.ideal)
             assert len(charts) == len(cox.fan.max_cones)
             for t, chart in enumerate(charts):
                 oracle = chart_dehomogenize(cox_residual, cox, t)
@@ -189,7 +190,7 @@ def test_zero_dim_length_single_points():
     cox = hirzebruch(0)
     for p, q in (((1, 0), (1, 0)), ((1, 1), (2, 3)), ((0, 1), (1, -1))):
         I = MultigradedIdeal.create(point_ideal_p1p1(cox, p, q), cox.ring)
-        I = saturate_ideal(I, cox.irrelevant)
+        I = saturate_ideal(I, irrelevant_ideal(cox))
         assert zero_dim_length(I, cox) == 1, (p, q)
 
 
@@ -199,7 +200,7 @@ def test_zero_dim_length_fat_point():
     gens = point_ideal_p1p1(cox, (1, 1), (1, 2))
     sq = [a * b for a in gens for b in gens]
     I = saturate_ideal(MultigradedIdeal.create(sq, cox.ring),
-                       cox.irrelevant)
+                       irrelevant_ideal(cox))
     assert zero_dim_length(I, cox) == 3
 
 
@@ -209,7 +210,7 @@ def test_zero_dim_length_union():
                                 cox.ring)
     B = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 1), (2, 1)),
                                 cox.ring)
-    I = saturate_ideal(intersect(A, B), cox.irrelevant)
+    I = saturate_ideal(intersect(A, B), irrelevant_ideal(cox))
     assert zero_dim_length(I, cox) == 2
 
 
@@ -217,7 +218,7 @@ def length_by_saturation(charts, cox):
     """The chart sweep as v - vsdim(J : M^inf): v = vsdim(J) for the chart
     ideal J, M the dehomogenized irrelevant monomials of earlier cones."""
     total = 0
-    irr = cox.irrelevant.generators
+    irr = irrelevant_ideal(cox).generators
     for t, J in enumerate(charts):
         v = vector_space_dimension(J)
         if t == 0 or v == 0:
