@@ -151,16 +151,21 @@ def _reduce(p, reducers, order):
     return _primitive(res, next(iter(res))) if res else res
 
 
-def _buchberger(gens, order):
-    """Reduced Groebner basis of the ideal generated by ``gens``, as a list
-    of (lead monomial, element) sorted by decreasing lead.
+def _buchberger(gens, order, known=()):
+    """Reduced Groebner basis of the ideal generated by ``known`` and
+    ``gens``, as a list of (lead monomial, element) sorted by decreasing
+    lead.
 
     Classic Buchberger with the Gebauer-Moller update (criteria M, F and
-    B_k) and normal pair selection, after Becker-Weispfenning.
+    B_k) and normal pair selection, after Becker-Weispfenning.  ``known``
+    is a reduced basis for ``order`` as (lead, element) pairs.  The S-pair
+    of two known elements reduces to zero, so it is never queued; it
+    still counts in the criteria that prune the other pairs.
     """
     key = order.key
-    f = []
-    seen = set()
+    # (lead, element, whether it is known)
+    f = [(lm, p, True) for lm, p in known]
+    seen = {frozenset(p.items()) for _lm, p in known}
     for p in gens:
         if p:
             lm = min(p, key=key)
@@ -168,12 +173,13 @@ def _buchberger(gens, order):
             fs = frozenset(p.items())
             if fs not in seen:
                 seen.add(fs)
-                f.append((lm, p))
-    if not f:
-        return []
+                f.append((lm, p, False))
+    if len(f) == len(known):
+        return list(known)
     f.sort(key=lambda t: key(t[0]))
-    lms = [lm for lm, _p in f]
-    f = [p for _lm, p in f]
+    lms = [lm for lm, _p, _k in f]
+    is_known = [k for _lm, _p, k in f]
+    f = [p for _lm, p, _k in f]
 
     def lcm_ij(i, j):
         return _monomial_lcm(lms[i], lms[j])
@@ -197,6 +203,8 @@ def _buchberger(gens, order):
                        for r in itertools.chain(C, D)):
                 D.add(pair)
         E = {pair for pair in D if not disjoint(ih, pair[1])}
+        if is_known[ih]:
+            E = {pair for pair in E if not is_known[pair[1]]}
         B_new = set()
         for (i1, i2) in B:
             lcm12 = lcm_ij(i1, i2)
@@ -223,6 +231,7 @@ def _buchberger(gens, order):
         if h:
             f.append(h)
             lms.append(next(iter(h)))
+            is_known.append(False)
             G, B = update(G, B, len(f) - 1)
 
     # tail-reduce to the unique reduced basis; a lead of G divides no
@@ -241,17 +250,20 @@ class MultigradedIdeal:
     """An ideal given by multihomogeneous generators in a graded ring.
 
     For an ungraded (affine chart) context the degrees are all the empty
-    tuple and every nonzero polynomial counts as homogeneous.
+    tuple and every nonzero polynomial counts as homogeneous.  ``known``,
+    when set, is a reduced basis whose elements are the first generators
+    (see ``GroebnerBasis.extend``).
     """
 
     generators: tuple
     ctx: RingContext
     degrees: tuple
+    known: object = field(default=None, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False,
                          hash=False)
 
     @classmethod
-    def create(cls, gens, ctx, split=False):
+    def create(cls, gens, ctx, split=False, known=None):
         """Build an ideal, dropping zero generators.
 
         With ``split`` non-homogeneous generators are replaced by their
@@ -277,7 +289,8 @@ class MultigradedIdeal:
                 for sub in parts.values():
                     flat.append(Polynomial(ctx.nvars, sub))
         degs = tuple(multidegree_of(g, ctx) for g in flat)
-        return cls(generators=tuple(flat), ctx=ctx, degrees=degs)
+        return cls(generators=tuple(flat), ctx=ctx, degrees=degs,
+                   known=known)
 
     def is_zero(self):
         return not self.generators
@@ -300,23 +313,40 @@ class GroebnerBasis:
     def lead_monomials(self):
         return self.leads
 
+    def extend(self, gens):
+        """The ideal of these elements and ``gens``.  Its basis for this
+        order is computed from this one: Buchberger queues no S-pair of
+        two of these elements."""
+        return MultigradedIdeal.create(self.elements + tuple(gens), self.ctx,
+                                       known=self)
+
+
+def _store(I, order, basis):
+    """Cache ``basis``, a list of (lead, element) pairs, as the reduced
+    basis of ``I`` for ``order``, and return it."""
+    gb = GroebnerBasis(
+        elements=tuple(Polynomial(I.ctx.nvars, p) for _lm, p in basis),
+        leads=tuple(lm for lm, _p in basis), order=order, ctx=I.ctx)
+    # the repr of an order names every field that defines it
+    I._cache[repr(order)] = gb
+    return gb
+
 
 def groebner_basis(I, order=None):
     """Reduced Groebner basis of ``I`` for the given (default grevlex)
     monomial order."""
     if order is None:
         order = I.default_order()
-    # the repr of an order names every field that defines it
-    cache_key = repr(order)
-    hit = I._cache.get(cache_key)
+    hit = I._cache.get(repr(order))
     if hit is not None:
         return hit
-    basis = _buchberger([g.coeffs for g in I.generators], order)
-    gb = GroebnerBasis(
-        elements=tuple(Polynomial(I.ctx.nvars, p) for _lm, p in basis),
-        leads=tuple(lm for lm, _p in basis), order=order, ctx=I.ctx)
-    I._cache[cache_key] = gb
-    return gb
+    gens, known = I.generators, ()
+    if I.known is not None and repr(I.known.order) == repr(order):
+        gens = gens[len(I.known.elements):]
+        known = list(zip(I.known.leads,
+                         [g.coeffs for g in I.known.elements]))
+    return _store(I, order,
+                  _buchberger([g.coeffs for g in gens], order, known))
 
 
 def normal_form(f, G):
@@ -363,7 +393,11 @@ def _ideal_from_raw(raw, ctx):
 
 def _eliminate_extra_raw(raw, base_weights, n_extra):
     """Raw polynomials live in nvars+n_extra variables (extras trailing);
-    eliminate the extras and project back to the base ring."""
+    eliminate the extras and project back to the base ring.
+
+    The result is the reduced basis of the elimination ideal for grevlex
+    on the base ring (the rest block of the elimination order), each
+    element's terms in decreasing order."""
     r = len(base_weights)
     weights = tuple(base_weights) + (1,) * n_extra
     order = BlockOrder(range(r, r + n_extra), weights)
@@ -376,7 +410,10 @@ def _eliminate_extra_raw(raw, base_weights, n_extra):
 
 def saturate_ideal(I, J):
     """(I : J^inf) for J = (g_1, ..., g_m), as the one elimination
-    (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x]."""
+    (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
+
+    The eliminated basis is the result's reduced basis for its default
+    order, so it goes into the result's cache."""
     if J.is_zero():
         raise ValueError("cannot saturate by the zero ideal")
     raws = [g.coeffs for g in J.generators]
@@ -391,7 +428,10 @@ def saturate_ideal(I, J):
         for m, c in p.items():
             rab[m + tag] = -c
     ext.append(rab)
-    return _ideal_from_raw(_eliminate_extra_raw(ext, I.ctx.weights, n), I.ctx)
+    raw = _eliminate_extra_raw(ext, I.ctx.weights, n)
+    S = _ideal_from_raw(raw, I.ctx)
+    _store(S, S.default_order(), [(next(iter(p)), p) for p in raw])
+    return S
 
 
 # --- dimensions ------------------------------------------------------------
@@ -421,23 +461,31 @@ def krull_dimension(I):
 
 
 def vector_space_dimension(I):
-    """Number of standard monomials (length of the Artinian quotient)."""
+    """Number of standard monomials (length of the Artinian quotient).
+
+    The standard monomials are closed under division, so each is reached
+    from 1 by raising its exponents in variable order: a depth-first walk
+    that raises only the last variable raised or a later one meets each
+    once, and stops at every monomial a lead divides.  The walk tests at
+    most nvars times as many monomials as it counts."""
     G = groebner_basis(I)
     lms = G.lead_monomials()
     if any(max(m) == 0 for m in lms):
         return 0
     r = I.ctx.nvars
-    bounds = []
     for i in range(r):
-        pure = [m[i] for m in lms
-                if all(e == 0 for j, e in enumerate(m) if j != i)]
-        if not pure:
+        if not any(all(e == 0 for j, e in enumerate(m) if j != i)
+                   for m in lms):
             raise NotZeroDimensional(
                 "variable %s is not nilpotent modulo the lead-term ideal"
                 % I.ctx.names[i])
-        bounds.append(min(pure))
     count = 0
-    for m in itertools.product(*(range(b) for b in bounds)):
-        if not any(_monomial_divides(lm, m) for lm in lms):
-            count += 1
+    stack = [((0,) * r, 0)]
+    while stack:
+        m, first = stack.pop()
+        count += 1
+        for i in range(first, r):
+            e = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if not any(_monomial_divides(lm, e) for lm in lms):
+                stack.append((e, i))
     return count

@@ -341,16 +341,20 @@ def fm_integer_points(stages, tail):
     if any(sum(c * xi for c, xi in zip(coeffs, x)) + const < 0
            for coeffs, const in stages[free]):
         return
+    yield from _extend_points(stages, x, free - 1)
 
-    def extend(var):
-        if var < 0:
-            yield tuple(x)
-            return
-        lower, upper = _interval(stages[var], var, x)
-        if lower is None or upper is None:
-            raise ValueError("variable %d is unbounded" % var)
-        for value in range(ceil(lower), floor(upper) + 1):
-            x[var] = value
-            yield from extend(var - 1)
 
-    yield from extend(free - 1)
+def _extend_points(stages, x, var):
+    """The points of ``fm_integer_points`` that agree with ``x`` above
+    ``var``: x[var] runs over its interval in stage ``var``, and each value
+    extends downwards.  The state travels as arguments, so no closure cell
+    ties the generators into a reference cycle."""
+    if var < 0:
+        yield tuple(x)
+        return
+    lower, upper = _interval(stages[var], var, x)
+    if lower is None or upper is None:
+        raise ValueError("variable %d is unbounded" % var)
+    for value in range(ceil(lower), floor(upper) + 1):
+        x[var] = value
+        yield from _extend_points(stages, x, var - 1)

@@ -165,9 +165,7 @@ def zero_dim_length(I, cox):
             Polynomial.from_monomial(tuple(0 if i in s else v
                                            for i in cones[t]))
             for s in cones[:t])
-        new = MultigradedIdeal.create(groebner_basis(J).elements + earlier,
-                                      J.ctx)
-        total += vector_space_dimension(new)
+        total += vector_space_dimension(groebner_basis(J).extend(earlier))
     return total
 
 
@@ -205,7 +203,7 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
                                                cox.ring))
         cut_charts = _charts(MultigradedIdeal.create(cuts, cox.ring), cox)
         gamma = zero_dim_length(
-            tuple(MultigradedIdeal.create(R.generators + C.generators, R.ctx)
+            tuple(groebner_basis(R).extend(C.generators)
                   for R, C in zip(I_R, cut_charts)), cox)
         rows.append(row)
         gammas.append(gamma)

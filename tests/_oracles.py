@@ -1,13 +1,15 @@
 """Test oracles: ideal operations, reductions and monomial lists the
 program no longer computes this way, kept to check the ones it does."""
 
+import itertools
 from math import gcd
 
 from toricsegre.errors import NonIntegerCoefficient
 from toricsegre.exactpoly import Polynomial
 from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
                                  _ideal_from_raw, _monomial_divides,
-                                 _monomial_mul, _primitive, saturate_ideal)
+                                 _monomial_mul, _primitive, groebner_basis,
+                                 saturate_ideal)
 
 
 def irrelevant_ideal(cox):
@@ -156,3 +158,17 @@ def normal_form_by_scan(f, G):
                 "lead coefficient %d does not divide %d" % (q[lm], c))
         _subtract(num, m, lm, q, b)
     return Polynomial(f.nvars, res)
+
+
+def vector_space_dimension_by_box(I):
+    """``groebner.vector_space_dimension`` as it was before the walk: every
+    monomial of the box below the pure-power leads is tested, so the cost
+    is the product of those bounds.  The ideal must be zero-dimensional."""
+    lms = groebner_basis(I).lead_monomials()
+    if any(max(m) == 0 for m in lms):
+        return 0
+    bounds = [min(m[i] for m in lms
+                  if all(e == 0 for j, e in enumerate(m) if j != i))
+              for i in range(I.ctx.nvars)]
+    return sum(1 for m in itertools.product(*(range(b) for b in bounds))
+               if not any(_monomial_divides(lm, m) for lm in lms))

@@ -18,8 +18,12 @@ from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  krull_dimension, normal_form, saturate_ideal,
                                  vector_space_dimension)
 
-from _oracles import intersect, normal_form_by_scan, reduce_by_scan
+from toricsegre.library import hirzebruch
+
+from _oracles import (intersect, normal_form_by_scan, reduce_by_scan,
+                      vector_space_dimension_by_box)
 from test_exactpoly import leads, orders, polys
+from test_segre import time_limit
 
 XY = ungraded_context(("x", "y"))
 XYZ = ungraded_context(("x", "y", "z"))
@@ -135,6 +139,32 @@ def test_vector_space_dimension_oracles():
         ideal(XY, x, x + Polynomial.constant(2, 1))) == 0
     with pytest.raises(NotZeroDimensional):
         vector_space_dimension(ideal(XY, x))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_vector_space_dimension_matches_box_oracle(data):
+    """Random Artinian ideals: pure powers of every variable plus a few
+    random polynomials.  The walk counts what the box scan counts."""
+    nvars = data.draw(st.integers(1, 3))
+    ctx = ungraded_context("xyz"[:nvars])
+    powers = [var(ctx, i) ** data.draw(st.integers(1, 5))
+              for i in range(nvars)]
+    extra = data.draw(st.lists(polys(nvars, max_exp=3, max_size=3),
+                               max_size=3))
+    I = ideal(ctx, *powers, *extra)
+    assert vector_space_dimension(I) == vector_space_dimension_by_box(I)
+
+
+def test_vector_space_dimension_of_a_large_box_within_2_s():
+    """x_i^30 and every x_i x_j in 6 variables: the box below the pure
+    powers holds 30^6 > 10^8 monomials, the quotient 1 + 6 * 29."""
+    ctx = ungraded_context("abcdef")
+    xs = [var(ctx, i) for i in range(6)]
+    I = ideal(ctx, *(x ** 30 for x in xs),
+              *(xs[i] * xs[j] for i in range(6) for j in range(i + 1, 6)))
+    with time_limit(2, "the 30^6 box"):
+        assert vector_space_dimension(I) == 175
 
 
 def _to_sympy(f, syms):
@@ -262,3 +292,56 @@ def test_heap_reduction_matches_scan_oracle(data):
     for f in data.draw(st.lists(polys(nvars), min_size=1, max_size=4)):
         assert (_terms_or_error(normal_form, f, G)
                 == _terms_or_error(normal_form_by_scan, f, G))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_extended_basis_matches_fresh_basis(data):
+    """On random ideals, under GrevLex with a non-natural perm and under
+    BlockOrder: extending the basis of some generators by the others gives
+    the basis Buchberger computes from all of them at once."""
+    nvars = data.draw(st.integers(2, 3))
+    order = data.draw(orders(nvars))
+    ctx = ungraded_context("xyz"[:nvars])
+    first, more = (data.draw(st.lists(polys(nvars, max_exp=2, max_size=3),
+                                      min_size=1, max_size=3))
+                   for _ in range(2))
+    extended = groebner_basis(groebner_basis(ideal(ctx, *first), order)
+                              .extend(more), order)
+    fresh = groebner_basis(ideal(ctx, *first, *more), order)
+    assert extended.elements == fresh.elements
+    assert extended.leads == fresh.leads
+
+
+def _saturations():
+    """(I, J) pairs: the hand cases above, random ones on two and three
+    variables, and one in the graded Cox ring of F_1."""
+    x, y = var(XY, 0), var(XY, 1)
+    yield ideal(XY, (x - y) * x, (x - y) * y), ideal(XY, x + y)
+    yield ideal(XY, x * (x + y)), ideal(XY, x, y)
+    yield ideal(XY, x * x * y, x * y * y), ideal(XY, x)
+    rng = random.Random(0)
+    for ctx in (XY, XYZ) * 6:
+        def rand():
+            return Polynomial(ctx.nvars, {
+                tuple(rng.randint(0, 2) for _ in range(ctx.nvars)):
+                    rng.randint(-3, 3) for _ in range(3)})
+        yield (ideal(ctx, *(rand() for _ in range(2))),
+               ideal(ctx, *(rand() for _ in range(rng.randint(1, 2)))))
+    ring = hirzebruch(1).ring
+    x0, x1, y0, y1 = (var(ring, i) for i in range(4))
+    yield (MultigradedIdeal.create([x0 * y1, x1 * y1 * x0 - y0 * x0], ring),
+           MultigradedIdeal.create([x0, y1], ring))
+
+
+def test_saturation_seeds_its_reduced_basis():
+    """The basis ``saturate_ideal`` stores from the elimination is the one
+    Buchberger computes from the saturation's generators."""
+    for I, J in _saturations():
+        S = saturate_ideal(I, J)
+        if S is I:
+            continue
+        seeded = S._cache[repr(S.default_order())]
+        fresh = groebner_basis(MultigradedIdeal.create(S.generators, S.ctx))
+        assert seeded.elements == fresh.elements
+        assert seeded.leads == fresh.leads

@@ -1,6 +1,7 @@
 """Exact linear algebra: oracles against hand-computed values and
 property tests against independent checks."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -154,3 +155,19 @@ def test_fm_integer_points_match_box_scan(case):
     for last in range(-4, 5):
         assert sorted(linalg.fm_integer_points(stages, (last,))) == \
             [x for x in expected if x[-1] == last]
+
+
+def test_fm_integer_points_leave_no_cyclic_garbage():
+    """Listing points makes no reference cycle for the collector to free:
+    a recursive closure once made one on every call."""
+    # the triangle x, y >= 0, x + y <= 3
+    stages = linalg.fm_stages([((1, 0), 0), ((0, 1), 0), ((-1, -1), 3)], 2)
+    gc.collect()
+    gc.disable()
+    try:
+        points = list(linalg.fm_integer_points(stages, ()))
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert len(points) == 10
+    assert freed == 0

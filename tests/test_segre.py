@@ -4,6 +4,7 @@ oracles."""
 import random
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -18,7 +19,7 @@ from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space)
 from toricsegre.parser import parse_polynomial
-from toricsegre import segre
+from toricsegre import groebner, segre
 from toricsegre.segre import (DEFAULT_COEFF_BOUND, pick_sections,
                               preprocess, segre_class, zero_dim_length)
 
@@ -350,3 +351,37 @@ def test_divisor_on_f1_closed_form():
     assert res.components[0] == chow.reduce(F * a + E * b)
     assert res.components[1] == chow.reduce(
         chow.multiply(E, F) * (b * b * e - 2 * a * b))
+
+
+def test_point_on_p1_cubed_reduces_no_pair_of_known_elements():
+    """At the P1^3 point, seed 0, the solve extends bases it holds (the
+    residual charts by the cuts, each chart by the earlier cones), and
+    no S-polynomial it forms pairs two elements of a known basis."""
+    cox = product_p1_cubed()
+    chow, prob = setup(cox, "x0", "y0", "z0")
+    known = []
+    counts = {"extending": 0, "known pairs": 0}
+    buchberger, spoly = groebner._buchberger, groebner._spoly
+
+    def spy_buchberger(gens, order, basis=()):
+        known.append({frozenset(p.items()) for _lm, p in basis})
+        try:
+            return buchberger(gens, order, basis)
+        finally:
+            known.pop()
+
+    def spy_spoly(f, lf, g, lg, order):
+        if known[-1]:
+            counts["extending"] += 1
+            if (frozenset(f.items()) in known[-1]
+                    and frozenset(g.items()) in known[-1]):
+                counts["known pairs"] += 1
+        return spoly(f, lf, g, lg, order)
+
+    with mock.patch.object(groebner, "_buchberger", spy_buchberger), \
+            mock.patch.object(groebner, "_spoly", spy_spoly):
+        res = segre_class(prob, seed=0)
+    assert res.components == (chow.multiply(chow.multiply(
+        chow.divisor(0), chow.divisor(2)), chow.divisor(4)),)
+    assert counts["extending"] > 0
+    assert counts["known pairs"] == 0
