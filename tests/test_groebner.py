@@ -17,7 +17,6 @@ from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  krull_dimension, normal_form, saturate_ideal,
                                  vector_space_dimension)
-
 from toricsegre.library import hirzebruch
 
 from _oracles import (intersect, normal_form_by_scan, reduce_by_scan,

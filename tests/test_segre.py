@@ -354,9 +354,9 @@ def test_divisor_on_f1_closed_form():
 
 
 def test_point_on_p1_cubed_reduces_no_pair_of_known_elements():
-    """At the P1^3 point, seed 0, the solve extends bases it holds (the
-    residual charts by the cuts, each chart by the earlier cones), and
-    no S-polynomial it forms pairs two elements of a known basis."""
+    """At the P1^3 point, seed 0, the chart sweep extends the chart bases
+    it holds by the earlier cones' monomials, and no S-polynomial it
+    forms pairs two elements of a known basis."""
     cox = product_p1_cubed()
     chow, prob = setup(cox, "x0", "y0", "z0")
     known = []
