@@ -250,9 +250,9 @@ class MultigradedIdeal:
     """An ideal given by multihomogeneous generators in a graded ring.
 
     For an ungraded (affine chart) context the degrees are all the empty
-    tuple and every nonzero polynomial counts as homogeneous.  ``known``,
-    when set, is a reduced basis whose elements are the first generators
-    (see ``GroebnerBasis.extend``).
+    tuple and every nonzero polynomial counts as homogeneous.  ``known``
+    is set only by ``GroebnerBasis.extend``: a reduced basis whose elements
+    are the first generators.
     """
 
     generators: tuple
@@ -263,7 +263,7 @@ class MultigradedIdeal:
                          hash=False)
 
     @classmethod
-    def create(cls, gens, ctx, split=False, known=None):
+    def create(cls, gens, ctx, split=False):
         """Build an ideal, dropping zero generators.
 
         With ``split`` non-homogeneous generators are replaced by their
@@ -289,8 +289,7 @@ class MultigradedIdeal:
                 for sub in parts.values():
                     flat.append(Polynomial(ctx.nvars, sub))
         degs = tuple(multidegree_of(g, ctx) for g in flat)
-        return cls(generators=tuple(flat), ctx=ctx, degrees=degs,
-                   known=known)
+        return cls(generators=tuple(flat), ctx=ctx, degrees=degs)
 
     def is_zero(self):
         return not self.generators
@@ -316,9 +315,18 @@ class GroebnerBasis:
     def extend(self, gens):
         """The ideal of these elements and ``gens``.  Its basis for this
         order is computed from this one: Buchberger queues no S-pair of
-        two of these elements."""
-        return MultigradedIdeal.create(self.elements + tuple(gens), self.ctx,
-                                       known=self)
+        two of these elements.
+
+        The elements of a reduced basis of a graded ideal are homogeneous,
+        so each takes the degree of its lead; only ``gens`` are checked."""
+        gens = tuple(g for g in gens if not g.is_zero())
+        grading = self.ctx.grading
+        degs = tuple(tuple(sum(w * e for w, e in zip(row, lm))
+                           for row in grading) for lm in self.leads)
+        return MultigradedIdeal(
+            generators=self.elements + gens, ctx=self.ctx,
+            degrees=degs + tuple(multidegree_of(g, self.ctx) for g in gens),
+            known=self)
 
 
 def _store(I, order, basis):

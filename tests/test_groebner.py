@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricsegre import groebner
-from toricsegre.errors import NonIntegerCoefficient, NotZeroDimensional
+from toricsegre.errors import (NonIntegerCoefficient, NotHomogeneous,
+                               NotZeroDimensional)
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
                                   monomials_of_degree, ungraded_context)
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
@@ -344,3 +345,19 @@ def test_saturation_seeds_its_reduced_basis():
         fresh = groebner_basis(MultigradedIdeal.create(S.generators, S.ctx))
         assert seeded.elements == fresh.elements
         assert seeded.leads == fresh.leads
+
+
+def test_extend_grades_its_ideal_like_create():
+    """``extend`` takes each basis element's degree from its lead; the
+    ideal's degrees are the ones ``create`` computes, and a
+    non-homogeneous new generator still raises."""
+    ring = hirzebruch(1).ring
+    x0, x1, y0, y1 = (var(ring, i) for i in range(4))
+    G = groebner_basis(MultigradedIdeal.create(
+        [x0 * y1, x1 * y1 * x0 - y0 * x0], ring))
+    ext = G.extend([x1 * x1 * y1, Polynomial(ring.nvars, {})])
+    assert ext.degrees == MultigradedIdeal.create(ext.generators,
+                                                  ring).degrees
+    assert ext.generators == G.elements + (x1 * x1 * y1,)
+    with pytest.raises(NotHomogeneous):
+        G.extend([x0 + y0])
