@@ -321,10 +321,12 @@ def monomials_of_degree(delta, ctx):
         for m in linalg.fm_integer_points(stages, ())))
 
 
+@lru_cache(maxsize=256)
 def monomials_of_total_degree(nvars, d):
-    """All exponent vectors of ``nvars`` entries >= 0 summing to ``d``, in
-    lexicographic order: each choice of nvars - 1 bar positions among
-    d + nvars - 1 slots gives the entries as the gaps between the bars."""
+    """All exponent vectors of ``nvars`` entries >= 0 summing to ``d``, as a
+    tuple in lexicographic order: each choice of nvars - 1 bar positions
+    among d + nvars - 1 slots gives the entries as the gaps between the
+    bars.  Cached, so the Chow bases built from them share their tuples."""
     slots = d + nvars - 1
     out = []
     for bars in itertools.combinations(range(slots), nvars - 1):
@@ -335,7 +337,7 @@ def monomials_of_total_degree(nvars, d):
             prev = b
         e.append(slots - 1 - prev)
         out.append(tuple(e))
-    return out
+    return tuple(out)
 
 
 def random_homogeneous(delta, rng, bound, ctx):

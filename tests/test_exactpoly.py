@@ -140,7 +140,7 @@ def test_monomials_of_total_degree_lex():
         for d in range(4):
             box = itertools.product(range(d + 1), repeat=n)
             assert monomials_of_total_degree(n, d) == \
-                [e for e in box if sum(e) == d], (n, d)
+                tuple(e for e in box if sum(e) == d), (n, d)
 
 
 def test_random_homogeneous_degree_and_support():
