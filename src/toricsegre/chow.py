@@ -170,12 +170,10 @@ def build_chow_ring(cox):
     last_error = None
     for pivot_cone in fan.max_cones:
         gens = list(sr_gens)
-        sub_t = [[fan.rays[pivot_cone[i]][j] for i in range(k)]
-                 for j in range(k)]
+        pivot_rays = [fan.rays[i] for i in pivot_cone]
         for jj in range(k):
             unit = [1 if i == jj else 0 for i in range(k)]
-            s = linalg.solve_integer(
-                [[sub_t[j][i] for j in range(k)] for i in range(k)], unit)
+            s = linalg.solve_integer(pivot_rays, unit)
             lin = Polynomial.zero(r)
             for i in range(r):
                 c = sum(int(si) * fan.rays[i][l] for l, si in enumerate(s))
@@ -197,7 +195,7 @@ def _assemble(cox, ctx, ideal, order, names):
     fan = cox.fan
     r, k = fan.nrays, fan.dim
     gb = groebner_basis(ideal, order)
-    leads = gb.lead_monomials()
+    leads = gb.leads
 
     def is_standard(m):
         return not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)

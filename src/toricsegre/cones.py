@@ -16,46 +16,10 @@ minimizer with every pairing at least 1 gives the ample class of
 
 from __future__ import annotations
 
-import itertools
-
 from . import linalg
 from .errors import InconsistentSystem, NotProjective
 from .exactpoly import monomials_of_degree
-
-
-def wall_relations(fan):
-    """One integer relation per wall: for a facet shared by maximal cones
-    with extra rays u and u', the vector c with c_u = c_u' = 1 and
-    c_i = -b_i on the facet rays, where u + u' = sum b_i u_i.  The b_i are
-    integers by smoothness; c annihilates the ray matrix."""
-    k = fan.dim
-    facet_map = {}
-    for cone in fan.max_cones:
-        for facet in itertools.combinations(cone, k - 1):
-            extra = next(i for i in cone if i not in facet)
-            facet_map.setdefault(facet, []).append(extra)
-    relations = []
-    for facet, extras in sorted(facet_map.items()):
-        if len(extras) != 2:
-            continue
-        u, up = extras
-        target = [fan.rays[u][j] + fan.rays[up][j] for j in range(k)]
-        if facet:
-            cols = [[fan.rays[i][j] for i in facet] for j in range(k)]
-            b = linalg.solve_integer(cols, target)
-            if b is None:
-                raise InconsistentSystem(
-                    "wall relation for facet %r has no integer solution"
-                    % (facet,))
-        else:
-            b = ()
-        c = [0] * fan.nrays
-        c[u] += 1
-        c[up] += 1
-        for i, bi in zip(facet, b):
-            c[i] -= int(bi)
-        relations.append(tuple(c))
-    return tuple(relations)
+from .fan import wall_relations
 
 
 def curve_functionals(cox):

@@ -67,9 +67,6 @@ class RingContext:
     def degree_of_variable(self, i):
         return tuple(row[i] for row in self.grading)
 
-    def heft_of(self, delta):
-        return sum(h * d for h, d in zip(self.heft, delta))
-
 
 def ungraded_context(names):
     """Ring context for an affine (ungraded) polynomial ring."""

@@ -2,10 +2,10 @@
 
 A fan is given by its primitive ray generators and its maximal cones (index
 sets).  Validation certifies smoothness (every maximal cone unimodular) and
-completeness (facet pairing); the grading matrix is the cokernel projection
-of the ray matrix, computed by Smith normal form and canonicalized by row
-Hermite form, together with a heft vector found by exact linear
-feasibility.
+completeness (every wall relation is integral, see ``wall_relations``); the
+grading matrix is the cokernel projection of the ray matrix, computed by
+Smith normal form and canonicalized by row Hermite form, together with a
+heft vector found by exact linear feasibility.
 """
 
 from __future__ import annotations
@@ -13,33 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import linalg
 from .errors import (InvalidFan, InvalidGrading, NoPositiveGrading,
                      NotComplete, NotSmooth)
 from .exactpoly import RingContext, ungraded_context
 from .groebner import MultigradedIdeal
-
-
-def _det(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
 
 
 @dataclass(frozen=True)
@@ -120,56 +100,62 @@ class Fan:
 
 
 def validate_smooth_complete(fan):
-    """Certify that the fan is smooth (unimodular maximal cones) and
-    complete (facet pairing with opposite sides).  Raises with the
-    offending cone or facet otherwise."""
+    """Certify that the fan is smooth (every maximal cone has k rays and
+    index 1) and complete (every wall has its two cones on opposite sides,
+    see ``wall_relations``).  Raises with the offending cone or facet
+    otherwise."""
     k = fan.dim
     for cone in fan.max_cones:
         if len(cone) != k:
             raise NotSmooth("maximal cone %r does not have %d rays" % (cone, k),
                             cone=cone)
-        d = _det([fan.rays[i] for i in cone])
-        if abs(d) != 1:
-            raise NotSmooth("cone %r has determinant %s" % (cone, d), cone=cone)
-    # facet pairing: each facet of a maximal cone shared by exactly one other
+        d, _u, _v = linalg.smith_normal_form([fan.rays[i] for i in cone])
+        index = prod(d[i][i] for i in range(k))
+        if index != 1:
+            raise NotSmooth("cone %r has index %d" % (cone, index), cone=cone)
+    wall_relations(fan)
+    return True
+
+
+def wall_relations(fan):
+    """One integer relation per wall, in sorted facet order: for a facet
+    shared by maximal cones with extra rays u and u', the vector c with
+    c_u = c_u' = 1 and c_i = -b_i on the facet rays, where
+    u + u' = sum b_i u_i; c annihilates the ray matrix.
+
+    Raises NotComplete when a facet of a maximal cone lies in one maximal
+    cone or in more than two, or when u + u' is no integer combination of
+    the facet rays.  For unimodular cones the latter is exactly "the two
+    cones lie on the same side of the facet": u' = a u + (facet rays) with
+    a = +-1, and a = -1 means opposite sides (DECISIONS.md entry 15)."""
+    k = fan.dim
     facet_map = {}
     for ci, cone in enumerate(fan.max_cones):
         for facet in itertools.combinations(cone, k - 1):
             extra = next(i for i in cone if i not in facet)
             facet_map.setdefault(facet, []).append((ci, extra))
-    for facet, hits in facet_map.items():
+    relations = []
+    for facet, hits in sorted(facet_map.items()):
         if len(hits) != 2:
             raise NotComplete(
                 "facet %r belongs to %d maximal cones" % (facet, len(hits)),
                 facet=facet)
-        if k == 1:
-            u, v = fan.rays[hits[0][1]], fan.rays[hits[1][1]]
-            if u[0] * v[0] >= 0:
-                raise NotComplete("rays on the same side", facet=facet)
-            continue
-        rows = [fan.rays[i] for i in facet]
-        normal = _facet_normal(rows)
-        s0 = sum(a * b for a, b in zip(normal, fan.rays[hits[0][1]]))
-        s1 = sum(a * b for a, b in zip(normal, fan.rays[hits[1][1]]))
-        if s0 == 0 or s1 == 0 or (s0 > 0) == (s1 > 0):
+        (ci, u), (cj, up) = hits
+        target = [a + b for a, b in zip(fan.rays[u], fan.rays[up])]
+        cols = [[fan.rays[i][j] for i in facet] for j in range(k)]
+        b = linalg.solve_integer(cols, target)
+        if b is None:
             raise NotComplete(
                 "cones %r and %r do not lie on opposite sides of facet %r"
-                % (fan.max_cones[hits[0][0]], fan.max_cones[hits[1][0]], facet),
+                % (fan.max_cones[ci], fan.max_cones[cj], facet),
                 facet=facet)
-    return True
-
-
-def _facet_normal(rows):
-    """A nonzero rational vector orthogonal to the span of the rows."""
-    k = len(rows[0])
-    m, pivots = linalg.rref(rows)
-    free = [j for j in range(k) if j not in pivots]
-    j = free[0]
-    n = [Fraction(0)] * k
-    n[j] = Fraction(1)
-    for r, col in enumerate(pivots):
-        n[col] = -m[r][j]
-    return n
+        c = [0] * fan.nrays
+        c[u] += 1
+        c[up] += 1
+        for i, bi in zip(facet, b):
+            c[i] -= bi
+        relations.append(tuple(c))
+    return tuple(relations)
 
 
 def grading_matrix(fan):

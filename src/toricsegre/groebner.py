@@ -272,11 +272,12 @@ class MultigradedIdeal:
         non-homogeneous generator raises.
         """
         flat = []
+        degs = []
         for g in gens:
             if g.is_zero():
                 continue
             try:
-                multidegree_of(g, ctx)
+                degs.append(multidegree_of(g, ctx))
                 flat.append(g)
             except NotHomogeneous:
                 if not split:
@@ -286,10 +287,10 @@ class MultigradedIdeal:
                     d = tuple(sum(row[i] * m[i] for i in range(len(m)))
                               for row in ctx.grading)
                     parts.setdefault(d, {})[m] = c
-                for sub in parts.values():
+                for d, sub in parts.items():
                     flat.append(Polynomial(ctx.nvars, sub))
-        degs = tuple(multidegree_of(g, ctx) for g in flat)
-        return cls(generators=tuple(flat), ctx=ctx, degrees=degs)
+                    degs.append(d)
+        return cls(generators=tuple(flat), ctx=ctx, degrees=tuple(degs))
 
     def is_zero(self):
         return not self.generators
@@ -308,9 +309,6 @@ class GroebnerBasis:
     leads: tuple
     order: object
     ctx: RingContext
-
-    def lead_monomials(self):
-        return self.leads
 
     def extend(self, gens):
         """The ideal of these elements and ``gens``.  Its basis for this
@@ -451,7 +449,7 @@ def krull_dimension(I):
     G = groebner_basis(I)
     if not G.elements:
         return I.ctx.nvars
-    lms = G.lead_monomials()
+    lms = G.leads
     if any(max(m) == 0 for m in lms):
         return None
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
@@ -477,7 +475,7 @@ def vector_space_dimension(I):
     once, and stops at every monomial a lead divides.  The walk tests at
     most nvars times as many monomials as it counts."""
     G = groebner_basis(I)
-    lms = G.lead_monomials()
+    lms = G.leads
     if any(max(m) == 0 for m in lms):
         return 0
     r = I.ctx.nvars

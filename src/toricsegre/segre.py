@@ -59,12 +59,10 @@ class SubschemeInput:
 
 @dataclass(frozen=True)
 class ResidualData:
-    """One residual scheme: its ideals on the charts of the maximal cones,
-    its dimension (None when empty), the Chow class, and the linear system
-    that produced the class."""
+    """One residual scheme: its dimension (None when empty), the Chow
+    class, and the linear system that produced the class."""
 
     d: int
-    charts: tuple
     dimension: object
     chow_class: object
     beta_rows: tuple
@@ -238,7 +236,7 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
         I_R = residual_ideal(problem, sections)
         dim_r = _dimension(I_R)
         if dim_r is None:
-            residuals.append(ResidualData(d=d, charts=I_R, dimension=None,
+            residuals.append(ResidualData(d=d, dimension=None,
                                           chow_class=chow.zero(),
                                           beta_rows=(), gammas=()))
             classes[d] = chow.zero()
@@ -249,9 +247,8 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
                 % (d, dim_r, k - d), d=d, got=dim_r, expected=k - d)
         cls, rows, gammas = residual_class(problem, d, I_R, seed, attempt,
                                            coeff_bound)
-        residuals.append(ResidualData(d=d, charts=I_R, dimension=dim_r,
-                                      chow_class=cls, beta_rows=rows,
-                                      gammas=gammas))
+        residuals.append(ResidualData(d=d, dimension=dim_r, chow_class=cls,
+                                      beta_rows=rows, gammas=gammas))
         classes[d] = cls
     alpha_class = chow.pic_to_chow(alpha)
     components = []

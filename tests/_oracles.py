@@ -1,15 +1,92 @@
-"""Test oracles: ideal operations, reductions and monomial lists the
-program no longer computes this way, kept to check the ones it does."""
+"""Test oracles: fan checks, ideal operations, reductions and monomial
+lists the program no longer computes this way, kept to check the ones it
+does."""
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
-from toricsegre.errors import NonIntegerCoefficient
+from toricsegre import linalg
+from toricsegre.errors import NonIntegerCoefficient, NotComplete, NotSmooth
 from toricsegre.exactpoly import Polynomial
 from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
                                  _ideal_from_raw, _monomial_divides,
                                  _monomial_mul, _primitive, groebner_basis,
                                  saturate_ideal)
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by Gaussian elimination over
+    the rationals."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, n):
+            f = m[i][col] * inv
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def _facet_normal(rows):
+    """A nonzero rational vector orthogonal to the span of the rows."""
+    k = len(rows[0])
+    m, pivots = linalg.rref(rows)
+    free = [j for j in range(k) if j not in pivots]
+    j = free[0]
+    n = [Fraction(0)] * k
+    n[j] = Fraction(1)
+    for r, col in enumerate(pivots):
+        n[col] = -m[r][j]
+    return n
+
+
+def validate_by_facet_normals(fan):
+    """``fan.validate_smooth_complete`` as it was before it read the wall
+    relations: each maximal cone has a rational determinant of +-1, each
+    facet lies in exactly two maximal cones, and their extra rays pair with
+    a rational facet normal to opposite signs."""
+    k = fan.dim
+    for cone in fan.max_cones:
+        if len(cone) != k:
+            raise NotSmooth("maximal cone %r does not have %d rays" % (cone, k),
+                            cone=cone)
+        d = _det([fan.rays[i] for i in cone])
+        if abs(d) != 1:
+            raise NotSmooth("cone %r has determinant %s" % (cone, d), cone=cone)
+    facet_map = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for facet in itertools.combinations(cone, k - 1):
+            extra = next(i for i in cone if i not in facet)
+            facet_map.setdefault(facet, []).append((ci, extra))
+    for facet, hits in facet_map.items():
+        if len(hits) != 2:
+            raise NotComplete(
+                "facet %r belongs to %d maximal cones" % (facet, len(hits)),
+                facet=facet)
+        if k == 1:
+            u, v = fan.rays[hits[0][1]], fan.rays[hits[1][1]]
+            if u[0] * v[0] >= 0:
+                raise NotComplete("rays on the same side", facet=facet)
+            continue
+        normal = _facet_normal([fan.rays[i] for i in facet])
+        s0 = sum(a * b for a, b in zip(normal, fan.rays[hits[0][1]]))
+        s1 = sum(a * b for a, b in zip(normal, fan.rays[hits[1][1]]))
+        if s0 == 0 or s1 == 0 or (s0 > 0) == (s1 > 0):
+            raise NotComplete(
+                "cones %r and %r do not lie on opposite sides of facet %r"
+                % (fan.max_cones[hits[0][0]], fan.max_cones[hits[1][0]], facet),
+                facet=facet)
+    return True
 
 
 def irrelevant_ideal(cox):
@@ -56,7 +133,7 @@ def monomials_by_heft_walk(delta, ctx):
     simplex: each exponent is bounded by the residual heft of delta."""
     delta = tuple(delta)
     r = ctx.nvars
-    budget = ctx.heft_of(delta)
+    budget = sum(h * d for h, d in zip(ctx.heft, delta))
     if budget < 0:
         return []
     weights = ctx.weights
@@ -164,7 +241,7 @@ def vector_space_dimension_by_box(I):
     """``groebner.vector_space_dimension`` as it was before the walk: every
     monomial of the box below the pure-power leads is tested, so the cost
     is the product of those bounds.  The ideal must be zero-dimensional."""
-    lms = groebner_basis(I).lead_monomials()
+    lms = groebner_basis(I).leads
     if any(max(m) == 0 for m in lms):
         return 0
     bounds = [min(m[i] for m in lms

@@ -148,6 +148,18 @@ def test_non_smooth_cone_diagnostic(tmp_path, capsys):
     assert "(0, 1)" in err  # names the offending cone
 
 
+def test_same_side_fan_diagnostic(tmp_path, capsys):
+    doc = {
+        "rays": [[1, 0], [0, 1], [1, 1]],
+        "max_cones": [[0, 1], [1, 2], [0, 2]],
+        "ideal": ["z0"],
+    }
+    rc = cli.main(["--input", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "E_FAN_NOT_COMPLETE" in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     doc = dict(F1_DOC, ideal=["x0 + "])
     rc = cli.main(["--input", write_doc(tmp_path, doc)])

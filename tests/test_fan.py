@@ -2,20 +2,24 @@
 
 import itertools
 import time
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsegre import linalg
 from toricsegre.errors import (InvalidFan, InvalidGrading, NotComplete,
                                NotSmooth)
 from toricsegre.exactpoly import Polynomial
 from toricsegre.fan import (Fan, build_cox_context, chart_dehomogenize,
-                            grading_matrix, validate_smooth_complete)
+                            grading_matrix, validate_smooth_complete,
+                            wall_relations)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.library import test_library as fan_library
 
-from _oracles import irrelevant_ideal
+from _oracles import irrelevant_ideal, validate_by_facet_normals
 
 
 def test_all_library_fans_validate():
@@ -48,6 +52,97 @@ def test_not_complete_fan():
     fan = Fan(((1, 0), (0, 1)), ((0, 1),))
     with pytest.raises(NotComplete):
         validate_smooth_complete(fan)
+
+
+def test_same_side_fan_not_complete():
+    # P2 with (-1, -1) flipped to (1, 1): every cone is unimodular, but
+    # the cones on facet (0,) both lie above it
+    fan = Fan(((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(NotComplete) as exc:
+        validate_smooth_complete(fan)
+    assert exc.value.details["facet"] == (0,)
+    with pytest.raises(NotComplete) as exc:
+        validate_by_facet_normals(fan)
+    assert exc.value.details["facet"] == (0,)
+
+
+def star_subdivide(rays, cones, face):
+    """Star subdivision along a face (two or more rays of one maximal
+    cone): the new ray is the sum of the face's rays, and each maximal cone
+    containing the face gives way to the cones that trade one face ray for
+    it.  Smooth and complete in, smooth and complete out."""
+    new = len(rays)
+    out = []
+    for cone in cones:
+        if set(face) <= set(cone):
+            out.extend(tuple(new if j == i else j for j in cone)
+                       for i in face)
+        else:
+            out.append(cone)
+    return rays + (tuple(map(sum, zip(*(rays[i] for i in face)))),), out
+
+
+@st.composite
+def generated_fans(draw):
+    """Star subdivisions of P1, P2, P1 x P1 or P3, then up to two
+    mutations: drop a maximal cone, move a ray to a small primitive vector,
+    or flip a ray through the origin (every cone stays unimodular, and the
+    two cones of each wall opposite that ray end up on the same side)."""
+    base = draw(st.sampled_from(
+        (projective_space(1), projective_space(2), hirzebruch(0),
+         projective_space(3)))).fan
+    rays, cones, k = base.rays, list(base.max_cones), base.dim
+    if k > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            cone = draw(st.sampled_from(cones))
+            face = draw(st.sampled_from(
+                [f for size in range(2, k + 1)
+                 for f in itertools.combinations(cone, size)]))
+            rays, cones = star_subdivide(rays, cones, face)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("drop", "move", "flip")))
+        i = draw(st.integers(0, len(rays) - 1))
+        if kind == "drop":
+            cones = cones[:i % len(cones)] + cones[i % len(cones) + 1:]
+            continue
+        if kind == "move":
+            v = tuple(draw(st.lists(st.integers(-2, 2), min_size=k,
+                                    max_size=k)))
+        else:
+            v = tuple(-x for x in rays[i])
+        if gcd(*v) == 1 and v not in rays:
+            rays = rays[:i] + (v,) + rays[i + 1:]
+    return rays, tuple(cones)
+
+
+def _outcome(check, fan):
+    try:
+        check(fan)
+    except (NotSmooth, NotComplete) as exc:
+        return exc
+    return None
+
+
+@given(generated_fans())
+@settings(max_examples=150, deadline=None)
+def test_validation_matches_facet_normal_oracle(data):
+    rays, cones = data
+    try:
+        fan = Fan(rays, cones)
+    except InvalidFan:
+        return
+    got = _outcome(validate_smooth_complete, fan)
+    want = _outcome(validate_by_facet_normals, fan)
+    assert type(got) is type(want), (rays, cones, got, want)
+    if isinstance(want, NotSmooth):
+        assert got.details["cone"] == want.details["cone"]
+    if want is None:
+        walls = wall_relations(fan)
+        assert len(walls) == fan.face_counts()[fan.dim - 1]
+        for c in walls:
+            for j in range(fan.dim):
+                assert sum(ci * fan.rays[i][j]
+                           for i, ci in enumerate(c)) == 0
 
 
 def test_grading_matrix_p2():

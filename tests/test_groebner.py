@@ -244,8 +244,7 @@ def test_groebner_cache_tells_block_orders_apart():
     heavy_y = BlockOrder((0,), (1, 1, 4))
     assert (groebner_basis(I, heavy_y).elements
             == groebner_basis(ideal(XYZ, *gens), heavy_y).elements)
-    assert groebner_basis(I, heavy_y).lead_monomials() == ((1, 1, 0),
-                                                           (0, 0, 2))
+    assert groebner_basis(I, heavy_y).leads == ((1, 1, 0), (0, 0, 2))
     assert len(flat.elements) == 3
 
 
@@ -287,7 +286,7 @@ def test_heap_reduction_matches_scan_oracle(data):
 
     ctx = ungraded_context("xyz"[:nvars])
     G = groebner_basis(ideal(ctx, *gens), order)
-    for g, lm in zip(G.elements, G.lead_monomials()):
+    for g, lm in zip(G.elements, G.leads):
         assert all(leads(lm, m, order) for m in g.coeffs if m != lm)
     for f in data.draw(st.lists(polys(nvars), min_size=1, max_size=4)):
         assert (_terms_or_error(normal_form, f, G)
