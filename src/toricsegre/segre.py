@@ -7,9 +7,12 @@ are held as their ideals on the affine charts of the maximal cones, where B
 is the unit ideal.  For each codimension d from codim Z up to dim X the
 algorithm cuts with d random sections bounded by a common class alpha,
 removes Z by an ideal quotient to obtain a residual scheme R_d of pure
-dimension, recovers the class of R_d from point counts against products of
-globally generated divisor classes, and assembles the Segre class
-components by the inclusion-exclusion recursion
+dimension, and recovers the class of R_d from point counts against
+products D^p of toric divisors.  The products are chosen from the Chow
+ring before any count: a product that is 0, or that repeats a divisor
+which is not nef, is never used, and below full rank neither is one that
+adds no rank; one further nonzero product checks the solve.  The Segre
+class components then follow by the inclusion-exclusion recursion
 
     s_i = alpha^(c+i) - [R_(c+i)] - sum_(j<i) C(c+i, i-j) alpha^(i-j) s_j
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .cones import curve_functionals, find_alpha
+from .cones import curve_functionals, find_alpha, is_nef
 from .errors import (DimensionFailure, EmptySubscheme, InconsistentSystem,
                      NonIntegerSolution, NotZeroDimensional, RetriesExhausted,
                      WholeSpace)
@@ -167,6 +170,50 @@ def zero_dim_length(I, cox):
     return total
 
 
+def _degree_rows(problem, d):
+    """The degree rows of the codim-d residual, chosen from the Chow ring
+    alone: the (lex index, p) of each exponent tuple that
+    ``residual_class`` sweeps, and its beta row.
+
+    Tuples p with sum k-d are scanned in lexicographic order.  A tuple is
+    skipped when D^p is 0 in the Chow ring, when it repeats a divisor D_j
+    that is not nef (two general sections of O(D_j) need not meet
+    properly), or, below full rank h, when its row adds no rank.  The
+    first further nonzero row is kept as the consistency row, so at most
+    h + 1 rows come back.  Skipping repeated non-nef divisors loses no
+    rank: the squarefree products D_sigma over the cones sigma span
+    A^(k-d).  Raises InconsistentSystem when the rows stay below rank h.
+    """
+    chow = problem.chow
+    ring = problem.cox.ring
+    fan = problem.cox.fan
+    basis = chow.bases[d]
+    h = len(basis)
+    kept, rows = [], []
+    for pidx, p in enumerate(monomials_of_total_degree(fan.nrays,
+                                                       fan.dim - d)):
+        if any(pj >= 2 and not is_nef(ring.degree_of_variable(j),
+                                      problem.functionals)
+               for j, pj in enumerate(p)):
+            continue
+        prod = chow.reduce(Polynomial.from_monomial(p))
+        if not prod:
+            continue
+        row = [chow.degree(chow.multiply(Polynomial(chow.nvars, {m: 1}),
+                                         prod)) for m in basis]
+        # below rank h every kept row raised the rank, so it is len(rows)
+        if len(rows) < h and linalg.rational_rank(rows + [row]) == len(rows):
+            continue
+        kept.append((pidx, p))
+        rows.append(row)
+        if len(rows) > h:
+            break
+    if len(rows) < h:
+        raise InconsistentSystem(
+            "divisor products give a rank-deficient pairing in codim %d" % d)
+    return kept, rows
+
+
 def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
     """Chow class of a nonempty codim-d residual with chart ideals I_R.
 
@@ -175,23 +222,16 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
     the toric divisors: the pairing of each basis element with the product
     of the D_j^(p_j) (beta) must reproduce the counted length of the
     residual scheme cut by p_j random polynomials of each degree [D_j]
-    (gamma).  Rows accumulate in lexicographic p order until the system
-    has full rank plus one redundant consistency row.
+    (gamma).  The rows are chosen from beta alone (``_degree_rows``): h
+    rows of full rank and, when one exists, a consistency row.  Only then
+    are the cuts drawn, from a stream keyed on the tuple's lexicographic
+    index, and each kept row's gamma counted by one chart sweep.
     """
     chow = problem.chow
     cox = problem.cox
-    k = cox.fan.dim
-    r = cox.fan.nrays
-    basis = chow.bases[d]
-    h = len(basis)
-    rows, gammas = [], []
-    ptuples = monomials_of_total_degree(r, k - d)
-    reached = None
-    for pidx, p in enumerate(ptuples):
-        prod = chow.reduce(Polynomial.from_monomial(p))
-        row = [chow.degree(chow.multiply(Polynomial(chow.nvars, {m: 1}),
-                                         prod)) if prod else 0
-               for m in basis]
+    kept, rows = _degree_rows(problem, d)
+    gammas = []
+    for pidx, p in kept:
         rng = random.Random("%s:%d:%d:%d" % (seed, attempt, d, pidx))
         cuts = []
         for j, pj in enumerate(p):
@@ -203,16 +243,7 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
         gamma = zero_dim_length(
             tuple(groebner_basis(R).extend(C.generators)
                   for R, C in zip(I_R, cut_charts)), cox)
-        rows.append(row)
         gammas.append(gamma)
-        if linalg.rational_rank(rows) == h:
-            if reached is None:
-                reached = len(rows)
-            if len(rows) > reached:
-                break
-    if linalg.rational_rank(rows) < h:
-        raise InconsistentSystem(
-            "divisor products give a rank-deficient pairing in codim %d" % d)
     sol, consistent = linalg.solve_linear_system(rows, gammas)
     if sol is None or not consistent:
         raise InconsistentSystem(

@@ -13,18 +13,20 @@ from toricsegre.errors import EmptySubscheme, WholeSpace
 from toricsegre.cones import find_alpha
 from toricsegre.exactpoly import (Polynomial, monomials_of_degree,
                                   multidegree_of, random_homogeneous)
-from toricsegre.fan import chart_dehomogenize
+from toricsegre.fan import Fan, build_cox_context, chart_dehomogenize
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  saturate_ideal, vector_space_dimension)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
-                                projective_space)
+                                projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
 from toricsegre import groebner, segre
 from toricsegre.segre import (DEFAULT_COEFF_BOUND, pick_sections,
-                              preprocess, segre_class, zero_dim_length)
+                              preprocess, residual_class, segre_class,
+                              zero_dim_length)
 
 from _oracles import (intersect, irrelevant_ideal,
                       saturate_by_intersection)
+from test_fan import star_subdivide
 from test_cones import (EIGHT_RAYS, FIVE_RAYS, TWELVE_RAYS,
                         cyclic_surface)
 
@@ -249,11 +251,89 @@ def test_zero_dim_length_matches_saturation_sweep(monkeypatch):
              (product_p1_cubed(), ("x0", "y0", "z0"))]
     for cox, texts in cases:
         _chow, prob = setup(cox, *texts)
-        for seed in (0, 1):
+        for seed in range(4):
             segre_class(prob, seed=seed)
     assert len(calls) > 40
     for I, cox, n in calls:
         assert n == length_by_saturation(I, cox)
+
+
+def test_residual_class_sweeps_only_chosen_rows(monkeypatch):
+    """Examples 1-2, the twisted cubic and V(x0*x2, x0*x4) = V(x0) on
+    P2 x P1, seeds 0-2: each nonempty residual is counted by h + 1 chart
+    sweeps (h at codimension dim X, which has a single exponent tuple), one
+    per kept row, and no kept row is zero.  On P2 x P1 the lex tuple right
+    after full rank in codimension 1 is the zero product Dx2 * Dx4."""
+    sweeps = []
+    residuals = []
+
+    def counting(I, cox):
+        sweeps.append(I)
+        return zero_dim_length(I, cox)
+
+    def recording(problem, d, *args):
+        before = len(sweeps)
+        cls, rows, gammas = residual_class(problem, d, *args)
+        residuals.append((problem, d, rows, gammas, len(sweeps) - before))
+        return cls, rows, gammas
+
+    monkeypatch.setattr(segre, "zero_dim_length", counting)
+    monkeypatch.setattr(segre, "residual_class", recording)
+    cases = [(hirzebruch(1), ("x1^2*y0^2 + x0^3*x1*y1^2",
+                              "x1*y0^2*y1^2 + x0^3*y1^4")),
+             (product_p1_cubed(), ("x0*z0^2", "y0*z0 + z0*y1")),
+             (projective_space(3), ("x0*x2 - x1^2", "x1*x3 - x2^2",
+                                    "x0*x3 - x1*x2")),
+             (threefold_p2_x_p1(), ("x0*x2", "x0*x4"))]
+    for cox, texts in cases:
+        _chow, prob = setup(cox, *texts)
+        for seed in range(3):
+            segre_class(prob, seed=seed)
+    assert residuals
+    for problem, d, rows, gammas, swept in residuals:
+        h = len(problem.chow.bases[d])
+        spare = d < problem.cox.fan.dim
+        assert swept == len(rows) == len(gammas) == h + spare
+        assert all(any(row) for row in rows)
+
+
+def blown_up_p3():
+    """P3 blown up at the torus-fixed point of the cone (1, 2, 3): the new
+    ray 4 = (-1, 0, 0), whose divisor E = D_4 is the one divisor that is
+    not nef."""
+    base = projective_space(3).fan
+    rays, cones = star_subdivide(base.rays, base.max_cones, (1, 2, 3))
+    return build_cox_context(Fan(rays, tuple(cones)))
+
+
+def test_blown_up_p3_exceptional_divisor():
+    """V(z1*z4, z2*z4, z3*z4) is E, and s(E) = E - E^2 + E^3.  When the
+    degree row of E^2 was cut by two sections of O(E), both multiples of
+    z4, every attempt failed as not zero-dimensional."""
+    cox = blown_up_p3()
+    chow, prob = setup(cox, "z1*z4", "z2*z4", "z3*z4")
+    E = chow.divisor(4)
+    expected = chow.reduce(E - chow.power(E, 2) + chow.power(E, 3))
+    for seed in range(3):
+        assert segre_class(prob, seed=seed).total == expected, seed
+
+
+def test_blown_up_p3_divisor_plus_curve():
+    """V(z0*z1, z0*z2) is the divisor D = D_0 with the residual curve
+    C = D_1 . D_2.  By the residual formula (Fulton, Prop. 9.2),
+    s = s(D) + c(O(D))^-1 (s(C) (x) O(D))
+      = D - D^2 + D^3 + D_1 D_2 - 3 D D_1 D_2 - D_1 D_2 (D_1 + D_2),
+    at attempt 0 for every seed."""
+    cox = blown_up_p3()
+    chow, prob = setup(cox, "z0*z1", "z0*z2")
+    D, D1, D2 = (chow.divisor(i) for i in range(3))
+    C = chow.multiply(D1, D2)
+    expected = chow.reduce(
+        D - chow.power(D, 2) + chow.power(D, 3) + C
+        - chow.multiply(D, C) * 3 - chow.multiply(C, D1 + D2))
+    for seed in range(3):
+        res = segre_class(prob, seed=seed)
+        assert (res.total, res.attempt) == (expected, 0), seed
 
 
 def test_zero_dim_length_curvilinear_fat_point():
