@@ -139,10 +139,8 @@ class ChowRing:
     def class_from_coefficients(self, coeffs, p):
         return Polynomial(self.nvars, dict(zip(self.bases[p], coeffs)))
 
-    def format_class(self, c, names=None):
-        if names is None:
-            names = self.ctx.names
-        return self.reduce(c).format(names)
+    def format_class(self, c):
+        return self.reduce(c).format(self.ctx.names)
 
 
 def build_chow_ring(cox):

@@ -192,7 +192,6 @@ def format_machine(out_doc):
 def format_human(cox, chow, result, verbose=False):
     k = cox.fan.dim
     n = result.dim
-    names = chow.ctx.names
     lines = []
     lines.append("alpha = (%s)" % ", ".join(str(a) for a in result.alpha))
     lines.append("dim Z = %d  (codim %d in the %d-fold)" % (n, k - n, k))
@@ -202,11 +201,11 @@ def format_human(cox, chow, result, verbose=False):
                 lines.append("R_%d: empty" % rd.d)
             else:
                 lines.append("R_%d: [R] = %s; gammas %s"
-                             % (rd.d, chow.format_class(rd.chow_class, names),
+                             % (rd.d, chow.format_class(rd.chow_class),
                                 list(rd.gammas)))
     for i, s in enumerate(result.components):
-        lines.append("s_%d = %s" % (i, chow.format_class(s, names)))
-    lines.append("s(Z,X) = %s" % chow.format_class(result.total, names))
+        lines.append("s_%d = %s" % (i, chow.format_class(s)))
+    lines.append("s(Z,X) = %s" % chow.format_class(result.total))
     return "\n".join(lines) + "\n"
 
 

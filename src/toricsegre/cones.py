@@ -19,7 +19,6 @@ from __future__ import annotations
 from . import linalg
 from .errors import InconsistentSystem, NotProjective
 from .exactpoly import monomials_of_degree
-from .fan import wall_relations
 
 
 def curve_functionals(cox):
@@ -30,7 +29,7 @@ def curve_functionals(cox):
     cols = [[a[i][j] for i in range(p)] for j in range(cox.fan.nrays)]
     out = []
     seen = set()
-    for c in wall_relations(cox.fan):
+    for c in cox.fan.walls:
         w = linalg.solve_integer(cols, list(c))
         if w is None:
             raise InconsistentSystem(
@@ -98,17 +97,16 @@ def _least_class(functionals, targets, cox):
         z += 1
 
 
-def find_ample(cox, functionals=None):
-    """The least integer class pairing >= 1 with every wall curve, in the
-    order of ``find_alpha``.  Raises NotProjective if none exists."""
-    if functionals is None:
-        functionals = curve_functionals(cox)
+def find_ample(cox, functionals):
+    """The least integer class pairing >= 1 with every wall curve (the
+    ``curve_functionals`` of ``cox``), in the order of ``find_alpha``.
+    Raises NotProjective if none exists."""
     if cox.ring.pic_rank == 0:
         raise NotProjective("trivial Picard lattice")
     return _least_class(functionals, [1] * len(functionals), cox)
 
 
-def find_alpha(degrees, cox, functionals=None):
+def find_alpha(degrees, cox, functionals):
     """The least common nef bound of the generator degrees: the integer
     class alpha with alpha - delta nef for every generator degree delta
     that minimizes the sum of its pairings with the wall functionals, ties
@@ -121,7 +119,5 @@ def find_alpha(degrees, cox, functionals=None):
     degrees = [tuple(d) for d in degrees]
     if not degrees:
         raise ValueError("need at least one generator degree")
-    if functionals is None:
-        functionals = curve_functionals(cox)
     targets = [max(_pairing(w, d) for d in degrees) for w in functionals]
     return _least_class(functionals, targets, cox)

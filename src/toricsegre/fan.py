@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 
 from . import linalg
@@ -65,6 +66,11 @@ class Fan:
     def nrays(self):
         return len(self.rays)
 
+    @cached_property
+    def walls(self):
+        """``wall_relations`` of this fan, walked once."""
+        return wall_relations(self)
+
     def cone_complement(self, cone):
         return tuple(i for i in range(self.nrays) if i not in set(cone))
 
@@ -113,7 +119,7 @@ def validate_smooth_complete(fan):
         index = prod(d[i][i] for i in range(k))
         if index != 1:
             raise NotSmooth("cone %r has index %d" % (cone, index), cone=cone)
-    wall_relations(fan)
+    fan.walls  # raises NotComplete unless every wall relation is integral
     return True
 
 
@@ -250,19 +256,13 @@ def build_cox_context(fan, names=None, degrees=None):
     return CoxContext(ring=ring, fan=fan)
 
 
-def chart_context(cox, cone_index):
-    """Affine (ungraded) ring context of the chart of a maximal cone;
-    variables are the rays of the cone, in index order."""
-    cone = cox.fan.max_cones[cone_index]
-    return ungraded_context([cox.ring.names[i] for i in cone]), cone
-
-
 def chart_dehomogenize(I, cox, cone_index):
     """Substitute 1 for every off-chart variable; returns the affine ideal
-    in the chart ring (variables of the chosen maximal cone)."""
+    in the ungraded chart ring, whose variables are the rays of the chosen
+    maximal cone in index order."""
     cone = cox.fan.max_cones[cone_index]
     off = cox.fan.cone_complement(cone)
-    ctx, _ = chart_context(cox, cone_index)
+    ctx = ungraded_context([cox.ring.names[i] for i in cone])
     gens = [g.set_to_one(off) for g in I.generators]
     return MultigradedIdeal.create([g for g in gens if not g.is_zero()],
                                    ctx)

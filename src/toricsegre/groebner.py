@@ -11,8 +11,15 @@ each term once by ``order.key`` (ascending keys list the leading monomial
 first) and pops its leads from a heap, so remainders come out in
 decreasing order; a basis stores its leads.
 
+A basis is computed where its ideal is made and cached on it per order:
+``groebner_basis`` on first query, ``GroebnerBasis.extend`` from the basis
+it extends, ``saturate_ideal`` from its elimination.
+
 Saturation is one elimination with a new variable y_i per generator g_i
 of J:  (I : J^inf) = (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
+Giving y_i the degree -deg g_i makes every input homogeneous, so every
+element of the reduced basis, and of its part in k[x], is homogeneous
+(DECISIONS.md entry 17).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .errors import NonIntegerCoefficient, NotHomogeneous, NotZeroDimensional
+from .errors import NonIntegerCoefficient, NotZeroDimensional
 from .exactpoly import (BlockOrder, GrevLex, Polynomial, RingContext,
                         multidegree_of)
 
@@ -250,47 +257,22 @@ class MultigradedIdeal:
     """An ideal given by multihomogeneous generators in a graded ring.
 
     For an ungraded (affine chart) context the degrees are all the empty
-    tuple and every nonzero polynomial counts as homogeneous.  ``known``
-    is set only by ``GroebnerBasis.extend``: a reduced basis whose elements
-    are the first generators.
+    tuple and every nonzero polynomial counts as homogeneous.
     """
 
     generators: tuple
     ctx: RingContext
     degrees: tuple
-    known: object = field(default=None, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False,
                          hash=False)
 
     @classmethod
-    def create(cls, gens, ctx, split=False):
-        """Build an ideal, dropping zero generators.
-
-        With ``split`` non-homogeneous generators are replaced by their
-        multihomogeneous components (only valid when the ideal itself is
-        known to be graded, e.g. output of a saturation); otherwise a
-        non-homogeneous generator raises.
-        """
-        flat = []
-        degs = []
-        for g in gens:
-            if g.is_zero():
-                continue
-            try:
-                degs.append(multidegree_of(g, ctx))
-                flat.append(g)
-            except NotHomogeneous:
-                if not split:
-                    raise
-                parts = {}
-                for m, c in g.coeffs.items():
-                    d = tuple(sum(row[i] * m[i] for i in range(len(m)))
-                              for row in ctx.grading)
-                    parts.setdefault(d, {})[m] = c
-                for d, sub in parts.items():
-                    flat.append(Polynomial(ctx.nvars, sub))
-                    degs.append(d)
-        return cls(generators=tuple(flat), ctx=ctx, degrees=tuple(degs))
+    def create(cls, gens, ctx):
+        """Build an ideal, dropping zero generators.  A non-homogeneous
+        generator raises NotHomogeneous."""
+        gens = tuple(g for g in gens if not g.is_zero())
+        return cls(generators=gens, ctx=ctx,
+                   degrees=tuple(multidegree_of(g, ctx) for g in gens))
 
     def is_zero(self):
         return not self.generators
@@ -311,20 +293,24 @@ class GroebnerBasis:
     ctx: RingContext
 
     def extend(self, gens):
-        """The ideal of these elements and ``gens``.  Its basis for this
-        order is computed from this one: Buchberger queues no S-pair of
-        two of these elements.
+        """The ideal of these elements and ``gens``, with its basis for
+        this order already computed from this one: Buchberger queues no
+        S-pair of two of these elements.
 
         The elements of a reduced basis of a graded ideal are homogeneous,
-        so each takes the degree of its lead; only ``gens`` are checked."""
+        so each takes the degree of its lead; only ``gens`` are checked,
+        before any reduction."""
         gens = tuple(g for g in gens if not g.is_zero())
         grading = self.ctx.grading
         degs = tuple(tuple(sum(w * e for w, e in zip(row, lm))
                            for row in grading) for lm in self.leads)
-        return MultigradedIdeal(
+        I = MultigradedIdeal(
             generators=self.elements + gens, ctx=self.ctx,
-            degrees=degs + tuple(multidegree_of(g, self.ctx) for g in gens),
-            known=self)
+            degrees=degs + tuple(multidegree_of(g, self.ctx) for g in gens))
+        known = list(zip(self.leads, [g.coeffs for g in self.elements]))
+        _store(I, self.order,
+               _buchberger([g.coeffs for g in gens], self.order, known))
+        return I
 
 
 def _store(I, order, basis):
@@ -346,13 +332,8 @@ def groebner_basis(I, order=None):
     hit = I._cache.get(repr(order))
     if hit is not None:
         return hit
-    gens, known = I.generators, ()
-    if I.known is not None and repr(I.known.order) == repr(order):
-        gens = gens[len(I.known.elements):]
-        known = list(zip(I.known.leads,
-                         [g.coeffs for g in I.known.elements]))
     return _store(I, order,
-                  _buchberger([g.coeffs for g in gens], order, known))
+                  _buchberger([g.coeffs for g in I.generators], order))
 
 
 def normal_form(f, G):
@@ -391,8 +372,8 @@ def normal_form(f, G):
 
 
 def _ideal_from_raw(raw, ctx):
-    gens = [Polynomial(ctx.nvars, p) for p in raw if p]
-    return MultigradedIdeal.create(gens, ctx, split=bool(ctx.grading))
+    return MultigradedIdeal.create([Polynomial(ctx.nvars, p) for p in raw],
+                                   ctx)
 
 
 # --- elimination, saturation ----------------------------------------------

@@ -6,14 +6,17 @@ import time
 
 import pytest
 
-from toricsegre.cones import (curve_functionals, find_alpha, find_ample,
-                              is_nef, wall_relations)
+from toricsegre import fan as fan_module
+from toricsegre.chow import build_chow_ring
+from toricsegre.cones import curve_functionals, find_alpha, find_ample, is_nef
 from toricsegre.errors import NotProjective
-from toricsegre.exactpoly import monomials_of_degree
-from toricsegre.fan import Fan, build_cox_context
+from toricsegre.exactpoly import Polynomial, monomials_of_degree
+from toricsegre.fan import (Fan, build_cox_context, validate_smooth_complete,
+                            wall_relations)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.library import test_library as fan_library
+from toricsegre.segre import preprocess
 
 FIVE_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1))
 EIGHT_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
@@ -45,6 +48,25 @@ def test_wall_relations_annihilate_rays():
             for j in range(fan.dim):
                 assert sum(ci * fan.rays[i][j]
                            for i, ci in enumerate(c)) == 0
+
+
+def test_walls_are_walked_once_per_fan(monkeypatch):
+    """Validation, the wall functionals and ``preprocess`` of one Cox
+    context share a single walk of its fan's walls."""
+    walked = []
+    walk = fan_module.wall_relations
+
+    def counting(fan):
+        walked.append(fan)
+        return walk(fan)
+
+    monkeypatch.setattr(fan_module, "wall_relations", counting)
+    cox = cyclic_surface(FIVE_RAYS)
+    chow = build_chow_ring(cox)
+    validate_smooth_complete(cox.fan)
+    curve_functionals(cox)
+    preprocess(cox, chow, [Polynomial.variable(cox.nvars, 0)])
+    assert walked == [cox.fan]
 
 
 def test_nef_criterion_p2():
@@ -96,18 +118,19 @@ def test_alpha_hirzebruch_closed_form():
             expected = (mx - min(e * b - a for a, b in degrees),
                         max(b for _a, b in degrees))
         cox = hirzebruch(e)
-        assert find_alpha(degrees, cox) == expected, (e, degrees)
+        assert (find_alpha(degrees, cox, curve_functionals(cox))
+                == expected), (e, degrees)
 
 
 def test_alpha_p1_cubed_is_coordinatewise_max():
     cox = product_p1_cubed()
     degrees = [(1, 0, 2), (0, 1, 1)]
-    assert find_alpha(degrees, cox) == (1, 1, 2)
+    assert find_alpha(degrees, cox, curve_functionals(cox)) == (1, 1, 2)
 
 
 def test_alpha_single_degree_is_itself_when_nef():
     cox = hirzebruch(1)
-    assert find_alpha([(3, 2)], cox) == (3, 2)
+    assert find_alpha([(3, 2)], cox, curve_functionals(cox)) == (3, 2)
 
 
 def test_alpha_dominates_all_degrees():
@@ -116,7 +139,7 @@ def test_alpha_dominates_all_degrees():
         p = cox.ring.pic_rank
         degrees = [tuple(1 if i == j else 0 for i in range(p))
                    for j in range(p)] or [()]
-        alpha = find_alpha(degrees, cox)
+        alpha = find_alpha(degrees, cox, w)
         for d in degrees:
             gap = tuple(a - x for a, x in zip(alpha, d))
             assert is_nef(gap, w), (name, alpha, d)

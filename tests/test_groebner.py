@@ -14,14 +14,16 @@ from toricsegre import groebner
 from toricsegre.errors import (NonIntegerCoefficient, NotHomogeneous,
                                NotZeroDimensional)
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
-                                  monomials_of_degree, ungraded_context)
+                                  monomials_of_degree, random_homogeneous,
+                                  ungraded_context)
 from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
                                  krull_dimension, normal_form, saturate_ideal,
                                  vector_space_dimension)
 from toricsegre.library import hirzebruch
+from toricsegre.library import test_library as fan_library
 
-from _oracles import (intersect, normal_form_by_scan, reduce_by_scan,
-                      vector_space_dimension_by_box)
+from _oracles import (intersect, irrelevant_ideal, normal_form_by_scan,
+                      reduce_by_scan, vector_space_dimension_by_box)
 from test_exactpoly import leads, orders, polys
 from test_segre import time_limit
 
@@ -298,15 +300,19 @@ def test_heap_reduction_matches_scan_oracle(data):
 def test_extended_basis_matches_fresh_basis(data):
     """On random ideals, under GrevLex with a non-natural perm and under
     BlockOrder: extending the basis of some generators by the others gives
-    the basis Buchberger computes from all of them at once."""
+    the basis Buchberger computes from all of them at once, and ``extend``
+    has computed it already, so the query runs no Buchberger."""
     nvars = data.draw(st.integers(2, 3))
     order = data.draw(orders(nvars))
     ctx = ungraded_context("xyz"[:nvars])
     first, more = (data.draw(st.lists(polys(nvars, max_exp=2, max_size=3),
                                       min_size=1, max_size=3))
                    for _ in range(2))
-    extended = groebner_basis(groebner_basis(ideal(ctx, *first), order)
-                              .extend(more), order)
+    ext = groebner_basis(ideal(ctx, *first), order).extend(more)
+    with mock.patch.object(groebner, "_buchberger",
+                           wraps=groebner._buchberger) as spy:
+        extended = groebner_basis(ext, order)
+    assert spy.call_count == 0
     fresh = groebner_basis(ideal(ctx, *first, *more), order)
     assert extended.elements == fresh.elements
     assert extended.leads == fresh.leads
@@ -344,6 +350,53 @@ def test_saturation_seeds_its_reduced_basis():
         fresh = groebner_basis(MultigradedIdeal.create(S.generators, S.ctx))
         assert seeded.elements == fresh.elements
         assert seeded.leads == fresh.leads
+
+
+def _random_ideal(data, ring, rng, max_size):
+    """1..max_size random homogeneous generators, each of the degree of a
+    product of one or two variables."""
+    gens = []
+    for _ in range(data.draw(st.integers(1, max_size))):
+        vs = data.draw(st.lists(st.integers(0, ring.nvars - 1),
+                                min_size=1, max_size=2))
+        delta = tuple(map(sum, zip(*(ring.degree_of_variable(i)
+                                     for i in vs))))
+        gens.append(random_homogeneous(delta, rng, 5, ring))
+    return MultigradedIdeal.create(gens, ring)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_saturation_basis_is_multihomogeneous(data):
+    """With y_i of degree -deg g_i the elimination's inputs are all
+    homogeneous, so every element of its reduced basis in k[x] has one
+    multidegree (DECISIONS.md entry 17): for homogeneous I and J in the
+    Cox rings of F_1 and P1 x P1, and for J the irrelevant ideal of a
+    library fan."""
+    library = fan_library()
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    if data.draw(st.booleans()):
+        ring = library[data.draw(st.sampled_from(["F1", "P1xP1"]))].ring
+        I = _random_ideal(data, ring, rng, 2)
+        J = _random_ideal(data, ring, rng, 2)
+    else:
+        cox = library[data.draw(st.sampled_from(sorted(library)))]
+        ring = cox.ring
+        I = _random_ideal(data, ring, rng, 2)
+        J = irrelevant_ideal(cox)
+    eliminated = []
+    eliminate = groebner._eliminate_extra_raw
+
+    def recording(*args):
+        eliminated.append(eliminate(*args))
+        return eliminated[-1]
+
+    with mock.patch.object(groebner, "_eliminate_extra_raw", recording):
+        saturate_ideal(I, J)
+    assert len(eliminated) == 1
+    for p in eliminated[0]:
+        assert len({tuple(sum(w * e for w, e in zip(row, m))
+                          for row in ring.grading) for m in p}) == 1, p
 
 
 def test_extend_grades_its_ideal_like_create():
