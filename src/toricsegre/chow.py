@@ -181,7 +181,7 @@ def build_chow_ring(cox):
         ideal = MultigradedIdeal.create(gens, ctx)
         rest = tuple(i for i in range(r) if i not in pivot_cone)
         for rest_perm in itertools.permutations(rest):
-            order = GrevLex((1,) * r, perm=tuple(pivot_cone) + rest_perm)
+            order = GrevLex(tuple(pivot_cone) + rest_perm)
             try:
                 return _assemble(cox, ctx, ideal, order, names)
             except (RankMismatch, NormalizationInconsistent) as exc:

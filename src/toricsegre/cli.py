@@ -18,7 +18,7 @@ from .cones import curve_functionals, find_ample
 from .errors import InputError, NotHomogeneous, ToricSegreError
 from .exactpoly import multidegree_of
 from .fan import Fan, build_cox_context, validate_smooth_complete
-from .parser import parse_polynomial
+from .parser import is_name, parse_polynomial
 from .segre import DEFAULT_COEFF_BOUND, preprocess, segre_class
 
 # exit codes per diagnostic class; any unlisted error code exits 1
@@ -71,6 +71,14 @@ def load_document(text):
                 isinstance(row, list) and all(type(x) is int for x in row)
                 for row in doc[key])):
             raise InputError("field %r must be a list of integer lists" % key)
+    names = doc.get("variables", [])
+    if not (isinstance(names, list) and all(
+            isinstance(name, str) and is_name(name) for name in names)):
+        raise InputError("field 'variables' must be a list of names, each a "
+                         "letter or '_' then letters, digits or '_'")
+    for idx, text in enumerate(doc["ideal"]):
+        if not isinstance(text, str):
+            raise InputError("ideal entry %d is not a string" % idx)
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("field 'options' must be an object")
@@ -91,8 +99,6 @@ def build_problem(doc):
     chow = build_chow_ring(cox)
     gens = []
     for idx, text in enumerate(doc["ideal"]):
-        if not isinstance(text, str):
-            raise InputError("ideal entry %d is not a string" % idx)
         g = parse_polynomial(text, cox.ring)
         try:
             multidegree_of(g, cox.ring)
@@ -105,7 +111,7 @@ def build_problem(doc):
     return cox, chow, gens
 
 
-def run_checks(cox, chow, out=None):
+def run_checks(cox, chow):
     """Internal invariant suite on the constructed variety.  Raises
     ToricSegreError (E_INTERNAL) naming the first invariant that fails."""
     ranks = chow_ranks(cox.fan)
@@ -127,7 +133,7 @@ def run_checks(cox, chow, out=None):
                               % (list(ample), degree))
     print("check: ranks %s, %d wall functionals, ample %s, degree %d"
           % (list(ranks), len(functionals), list(ample), degree),
-          file=out or sys.stderr)
+          file=sys.stderr)
 
 
 def _multiset(monomial):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from . import linalg
 from .errors import EmptyDegree, NotHomogeneous, ZeroPolynomial
@@ -26,8 +25,10 @@ class RingContext:
     """Variable names, grading matrix and heft vector of a polynomial ring.
 
     ``grading`` has one row per Picard coordinate and one column per
-    variable; it may have zero rows, in which case the ring is treated as
-    ungraded (all weights 1), which is how affine chart rings are modelled.
+    variable; it may have zero rows, in which case the ring is ungraded,
+    which is how affine chart rings and the Chow ring are modelled.  The
+    grading serves the Cox ring's degrees and sections only: the monomial
+    orders and the Groebner engine do not read it.
     """
 
     names: tuple
@@ -60,10 +61,6 @@ class RingContext:
             return 1
         return sum(h * row[i] for h, row in zip(self.heft, self.grading))
 
-    @property
-    def weights(self):
-        return tuple(self.weight(i) for i in range(self.nvars))
-
     def degree_of_variable(self, i):
         return tuple(row[i] for row in self.grading)
 
@@ -78,56 +75,54 @@ def ungraded_context(names):
 class GrevLex:
     """Graded reverse lexicographic order.
 
-    Grades by the given weight vector.  Ties break on the variables of
-    ``perm`` taken from its last entry backwards: the first variable where
-    the exponents differ decides, and the larger exponent there makes the
-    smaller monomial.  The default ``perm`` is the natural variable order.
+    Grades by total degree.  Ties break on the variables of ``perm`` taken
+    from its last entry backwards: the first variable where the exponents
+    differ decides, and the larger exponent there makes the smaller
+    monomial.
     """
 
-    __slots__ = ("weights", "perm", "_rev")
+    __slots__ = ("perm", "_rev")
 
-    def __init__(self, weights, perm=None):
-        self.weights = tuple(weights)
-        self.perm = tuple(perm) if perm is not None else tuple(range(len(self.weights)))
+    def __init__(self, perm):
+        self.perm = tuple(perm)
         self._rev = tuple(reversed(self.perm))
 
     def key(self, e):
-        """Flat int tuple, leading monomial first: the negated weighted
-        degree, then the exponents of ``perm`` in reverse."""
-        return (-sum(map(mul, self.weights, e)), *[e[i] for i in self._rev])
+        """Flat int tuple, leading monomial first: the negated total degree,
+        then the exponents of ``perm`` in reverse."""
+        return (-sum(e), *[e[i] for i in self._rev])
 
     def __repr__(self):
-        return "GrevLex(weights=%r, perm=%r)" % (self.weights, self.perm)
+        return "GrevLex(perm=%r)" % (self.perm,)
 
 
 class BlockOrder:
-    """Elimination order: grevlex on a front block, then grevlex on the rest.
+    """Elimination order on ``nvars`` variables: grevlex on a front block,
+    then grevlex on the rest.
 
     Any monomial containing a front-block variable beats every monomial
     without one, so a Groebner basis element free of front-block variables
     lies in the subring omitting them.
     """
 
-    __slots__ = ("front", "rest", "weights", "_front_rev", "_rest_rev")
+    __slots__ = ("front", "rest", "_front_rev", "_rest_rev")
 
-    def __init__(self, front, weights):
+    def __init__(self, front, nvars):
         self.front = tuple(sorted(front))
-        self.weights = tuple(weights)
-        self.rest = tuple(i for i in range(len(self.weights)) if i not in set(self.front))
+        self.rest = tuple(i for i in range(nvars) if i not in set(self.front))
         self._front_rev = tuple(reversed(self.front))
         self._rest_rev = tuple(reversed(self.rest))
 
     def key(self, e):
         """Flat int tuple, leading monomial first: each block's negated
-        weighted degree followed by its exponents in reverse."""
-        w = self.weights
-        return (-sum([w[i] * e[i] for i in self.front]),
+        total degree followed by its exponents in reverse."""
+        return (-sum([e[i] for i in self.front]),
                 *[e[i] for i in self._front_rev],
-                -sum([w[i] * e[i] for i in self.rest]),
+                -sum([e[i] for i in self.rest]),
                 *[e[i] for i in self._rest_rev])
 
     def __repr__(self):
-        return "BlockOrder(front=%r, weights=%r)" % (self.front, self.weights)
+        return "BlockOrder(front=%r, rest=%r)" % (self.front, self.rest)
 
 
 # --- polynomials -----------------------------------------------------------

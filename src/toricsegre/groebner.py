@@ -17,9 +17,9 @@ it extends, ``saturate_ideal`` from its elimination.
 
 Saturation is one elimination with a new variable y_i per generator g_i
 of J:  (I : J^inf) = (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
-Giving y_i the degree -deg g_i makes every input homogeneous, so every
-element of the reduced basis, and of its part in k[x], is homogeneous
-(DECISIONS.md entry 17).
+
+The engine reads no grading: its orders are plain grevlex and grevlex
+blocks, and its ideals carry no degrees (DECISIONS.md entry 18).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import NonIntegerCoefficient, NotZeroDimensional
-from .exactpoly import (BlockOrder, GrevLex, Polynomial, RingContext,
-                        multidegree_of)
+from .exactpoly import BlockOrder, GrevLex, Polynomial, RingContext
 
 # --- coefficient-dict helpers (exponent tuple -> int) ----------------------
 
@@ -254,31 +253,28 @@ def _buchberger(gens, order, known=()):
 
 @dataclass(frozen=True)
 class MultigradedIdeal:
-    """An ideal given by multihomogeneous generators in a graded ring.
+    """An ideal given by its generators in the ring of ``ctx``.
 
-    For an ungraded (affine chart) context the degrees are all the empty
-    tuple and every nonzero polynomial counts as homogeneous.
+    It carries no degrees, and its bases read no grading: the Cox-ring
+    input is graded once, by ``segre.preprocess``.
     """
 
     generators: tuple
     ctx: RingContext
-    degrees: tuple
     _cache: dict = field(default_factory=dict, compare=False, repr=False,
                          hash=False)
 
     @classmethod
     def create(cls, gens, ctx):
-        """Build an ideal, dropping zero generators.  A non-homogeneous
-        generator raises NotHomogeneous."""
-        gens = tuple(g for g in gens if not g.is_zero())
-        return cls(generators=gens, ctx=ctx,
-                   degrees=tuple(multidegree_of(g, ctx) for g in gens))
+        """Build an ideal, dropping zero generators."""
+        return cls(generators=tuple(g for g in gens if not g.is_zero()),
+                   ctx=ctx)
 
     def is_zero(self):
         return not self.generators
 
     def default_order(self):
-        return GrevLex(self.ctx.weights)
+        return GrevLex(range(self.ctx.nvars))
 
 
 @dataclass(frozen=True)
@@ -295,18 +291,9 @@ class GroebnerBasis:
     def extend(self, gens):
         """The ideal of these elements and ``gens``, with its basis for
         this order already computed from this one: Buchberger queues no
-        S-pair of two of these elements.
-
-        The elements of a reduced basis of a graded ideal are homogeneous,
-        so each takes the degree of its lead; only ``gens`` are checked,
-        before any reduction."""
+        S-pair of two of these elements."""
         gens = tuple(g for g in gens if not g.is_zero())
-        grading = self.ctx.grading
-        degs = tuple(tuple(sum(w * e for w, e in zip(row, lm))
-                           for row in grading) for lm in self.leads)
-        I = MultigradedIdeal(
-            generators=self.elements + gens, ctx=self.ctx,
-            degrees=degs + tuple(multidegree_of(g, self.ctx) for g in gens))
+        I = MultigradedIdeal(generators=self.elements + gens, ctx=self.ctx)
         known = list(zip(self.leads, [g.coeffs for g in self.elements]))
         _store(I, self.order,
                _buchberger([g.coeffs for g in gens], self.order, known))
@@ -371,27 +358,20 @@ def normal_form(f, G):
     return Polynomial(f.nvars, res)
 
 
-def _ideal_from_raw(raw, ctx):
-    return MultigradedIdeal.create([Polynomial(ctx.nvars, p) for p in raw],
-                                   ctx)
-
-
 # --- elimination, saturation ----------------------------------------------
 
-def _eliminate_extra_raw(raw, base_weights, n_extra):
+def _eliminate_extra_raw(raw, nvars, n_extra):
     """Raw polynomials live in nvars+n_extra variables (extras trailing);
     eliminate the extras and project back to the base ring.
 
     The result is the reduced basis of the elimination ideal for grevlex
     on the base ring (the rest block of the elimination order), each
     element's terms in decreasing order."""
-    r = len(base_weights)
-    weights = tuple(base_weights) + (1,) * n_extra
-    order = BlockOrder(range(r, r + n_extra), weights)
+    order = BlockOrder(range(nvars, nvars + n_extra), nvars + n_extra)
     out = []
     for _lm, p in _buchberger(raw, order):
-        if all(all(m[r + i] == 0 for i in range(n_extra)) for m in p):
-            out.append({m[:r]: c for m, c in p.items()})
+        if all(all(m[nvars + i] == 0 for i in range(n_extra)) for m in p):
+            out.append({m[:nvars]: c for m, c in p.items()})
     return out
 
 
@@ -415,8 +395,9 @@ def saturate_ideal(I, J):
         for m, c in p.items():
             rab[m + tag] = -c
     ext.append(rab)
-    raw = _eliminate_extra_raw(ext, I.ctx.weights, n)
-    S = _ideal_from_raw(raw, I.ctx)
+    raw = _eliminate_extra_raw(ext, I.ctx.nvars, n)
+    S = MultigradedIdeal.create([Polynomial(I.ctx.nvars, p) for p in raw],
+                                I.ctx)
     _store(S, S.default_order(), [(next(iter(p)), p) for p in raw])
     return S
 

@@ -125,5 +125,15 @@ class PolynomialParser:
         return poly
 
 
+def is_name(text):
+    """Whether ``text`` is exactly one NAME token: a letter or '_', then
+    letters, digits or '_'."""
+    try:
+        scan = _Scanner(text)
+    except ParseError:
+        return False
+    return scan.kind == "name" and scan.value == text
+
+
 def parse_polynomial(text, ctx):
     return PolynomialParser(ctx).parse(text)

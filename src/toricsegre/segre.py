@@ -32,7 +32,7 @@ from .errors import (DimensionFailure, EmptySubscheme, InconsistentSystem,
                      NonIntegerSolution, NotZeroDimensional, RetriesExhausted,
                      WholeSpace)
 from .exactpoly import (Polynomial, monomials_of_total_degree,
-                        random_homogeneous)
+                        multidegree_of, random_homogeneous)
 from .fan import chart_dehomogenize
 from .groebner import (MultigradedIdeal, groebner_basis, krull_dimension,
                        saturate_ideal, vector_space_dimension)
@@ -49,11 +49,13 @@ RETRYABLE = (DimensionFailure, InconsistentSystem, NonIntegerSolution,
 
 @dataclass(frozen=True)
 class SubschemeInput:
-    """Preprocessed problem: validated geometry, the ideal, its charts."""
+    """Preprocessed problem: validated geometry, the ideal, its degrees,
+    its charts."""
 
     cox: object
     chow: object
     ideal: object  # as given (sections and the bounding class come from it)
+    degrees: tuple  # multidegree_of each generator of ideal
     charts: tuple  # chart_dehomogenize(ideal) per maximal cone
     dim: int
     codim: int
@@ -99,10 +101,12 @@ def _dimension(charts):
 
 
 def preprocess(cox, chow, generators):
-    """Dehomogenize the input ideal on every chart and classify the
-    subscheme.  Raises WholeSpace / EmptySubscheme for the degenerate
-    cases."""
+    """Grade the input ideal, dehomogenize it on every chart and classify
+    the subscheme.  Raises NotHomogeneous, before any chart work, for a
+    generator whose terms differ in degree, and WholeSpace /
+    EmptySubscheme for the degenerate cases."""
     ideal = MultigradedIdeal.create(generators, cox.ring)
+    degrees = tuple(multidegree_of(g, cox.ring) for g in ideal.generators)
     if ideal.is_zero():
         raise WholeSpace("the ideal is zero")
     charts = _charts(ideal, cox)
@@ -114,8 +118,9 @@ def preprocess(cox, chow, generators):
         raise WholeSpace("the subscheme has dimension %d in a %d-fold"
                          % (n, k))
     functionals = curve_functionals(cox)
-    return SubschemeInput(cox=cox, chow=chow, ideal=ideal, charts=charts,
-                          dim=n, codim=k - n, functionals=functionals)
+    return SubschemeInput(cox=cox, chow=chow, ideal=ideal, degrees=degrees,
+                          charts=charts, dim=n, codim=k - n,
+                          functionals=functionals)
 
 
 def pick_sections(problem, alpha, d, rng, coeff_bound):
@@ -125,7 +130,7 @@ def pick_sections(problem, alpha, d, rng, coeff_bound):
     out = []
     for _ in range(d):
         f = Polynomial.zero(ring.nvars)
-        for g, delta in zip(problem.ideal.generators, problem.ideal.degrees):
+        for g, delta in zip(problem.ideal.generators, problem.degrees):
             gap = tuple(a - x for a, x in zip(alpha, delta))
             f = f + g * random_homogeneous(gap, rng, coeff_bound, ring)
         out.append(f)
@@ -303,8 +308,7 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
 def segre_class(problem, seed=0, coeff_bound=DEFAULT_COEFF_BOUND, retries=5):
     """Push-forward Segre class of the subscheme, retrying with fresh
     randomness when a draw is degenerate."""
-    alpha = find_alpha(problem.ideal.degrees, problem.cox,
-                       problem.functionals)
+    alpha = find_alpha(problem.degrees, problem.cox, problem.functionals)
     failures = []
     for attempt in range(max(1, retries)):
         try:

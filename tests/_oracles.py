@@ -10,9 +10,8 @@ from toricsegre import linalg
 from toricsegre.errors import NonIntegerCoefficient, NotComplete, NotSmooth
 from toricsegre.exactpoly import Polynomial
 from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
-                                 _ideal_from_raw, _monomial_divides,
-                                 _monomial_mul, _primitive, groebner_basis,
-                                 saturate_ideal)
+                                 _monomial_divides, _monomial_mul, _primitive,
+                                 groebner_basis, saturate_ideal)
 
 
 def _det(rows):
@@ -112,8 +111,9 @@ def intersect(I, J):
         for m, c in g.coeffs.items():
             q[m + (1,)] = -c
         ext.append(q)
-    return _ideal_from_raw(_eliminate_extra_raw(ext, I.ctx.weights, 1),
-                           I.ctx)
+    n = I.ctx.nvars
+    return MultigradedIdeal.create(
+        [Polynomial(n, p) for p in _eliminate_extra_raw(ext, n, 1)], I.ctx)
 
 
 def saturate_by_intersection(I, J):
@@ -136,7 +136,7 @@ def monomials_by_heft_walk(delta, ctx):
     budget = sum(h * d for h, d in zip(ctx.heft, delta))
     if budget < 0:
         return []
-    weights = ctx.weights
+    weights = [ctx.weight(i) for i in range(r)]
     cols = [ctx.degree_of_variable(i) for i in range(r)]
     out = []
     e = [0] * r

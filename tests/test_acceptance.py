@@ -17,11 +17,11 @@ from toricsegre.exactpoly import (Polynomial, multidegree_of,
 from toricsegre.groebner import MultigradedIdeal, saturate_ideal
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
-from toricsegre.library import test_library as fan_library
 from toricsegre.parser import parse_polynomial
 from toricsegre.segre import preprocess, segre_class, zero_dim_length
 from toricsegre import linalg
 
+from _fans import fan_library
 from _oracles import intersect, irrelevant_ideal
 
 SEEDS = (0, 1, 2)

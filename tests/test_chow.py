@@ -11,9 +11,9 @@ from toricsegre.errors import CodimOverflow, NoIntegerLift
 from toricsegre.exactpoly import Polynomial, random_homogeneous
 from toricsegre.groebner import groebner_basis
 from toricsegre.library import hirzebruch, projective_space
-from toricsegre.library import test_library as fan_library
 from toricsegre.parser import parse_polynomial
 
+from _fans import fan_library
 from _oracles import _det, irrelevant_ideal
 
 

@@ -60,6 +60,12 @@ def test_load_document_validation():
         {"max_cones": [[0, 3], [1.0, 3], [1, 2], [0, 2]]},  # float index
         {"degrees": [[1, 1, 1, 0], [0, 0, 1, 0.5]]},
         {"degrees": [1, 1, 1, 0]},
+        {"variables": "abcd"},                              # not a list
+        {"variables": {"a": 1}},
+        {"variables": [0, 1, 2, 3]},                        # not strings
+        {"variables": ["x 1", "x1", "y0", "y1"]},           # not a NAME
+        {"variables": ["1x", "x1", "y0", "y1"]},
+        {"ideal": ["x0", 3]},                               # not a string
     ]
     bad_options = [{"coeff_bound": "x"}, {"coeff_bound": 0},
                    {"coeff_bound": 2.5}, {"retries": "5"}, {"seed": 1.0},

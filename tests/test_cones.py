@@ -15,8 +15,9 @@ from toricsegre.fan import (Fan, build_cox_context, validate_smooth_complete,
                             wall_relations)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
-from toricsegre.library import test_library as fan_library
 from toricsegre.segre import preprocess
+
+from _fans import fan_library
 
 FIVE_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1))
 EIGHT_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),

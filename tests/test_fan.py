@@ -17,8 +17,8 @@ from toricsegre.fan import (Fan, build_cox_context, chart_dehomogenize,
                             wall_relations)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
-from toricsegre.library import test_library as fan_library
 
+from _fans import fan_library
 from _oracles import irrelevant_ideal, validate_by_facet_normals
 
 

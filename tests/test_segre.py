@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from toricsegre.chow import build_chow_ring
-from toricsegre.errors import EmptySubscheme, WholeSpace
+from toricsegre.errors import EmptySubscheme, NotHomogeneous, WholeSpace
 from toricsegre.cones import find_alpha
 from toricsegre.exactpoly import (Polynomial, monomials_of_degree,
                                   multidegree_of, random_homogeneous)
@@ -84,6 +84,21 @@ def test_preprocess_whole_space():
         preprocess(cox, chow, [Polynomial.zero(3)])
 
 
+def test_preprocess_grades_the_input_before_any_basis():
+    """On the library path ``preprocess`` is the one homogeneity check:
+    x0 + y1 on F_1 raises NotHomogeneous with both degrees, and it does so
+    before any chart work, so no Groebner basis is computed."""
+    cox = hirzebruch(1)
+    chow = build_chow_ring(cox)
+    gens = [parse_polynomial("x0 + y1", cox.ring)]
+    with mock.patch.object(groebner, "_buchberger",
+                           wraps=groebner._buchberger) as spy:
+        with pytest.raises(NotHomogeneous) as info:
+            preprocess(cox, chow, gens)
+    assert spy.call_count == 0
+    assert (info.value.degree_a, info.value.degree_b) == ((1, 0), (0, 1))
+
+
 def test_point_in_p2():
     cox = projective_space(2)
     chow, prob = setup(cox, "x0", "x1 - x2")
@@ -116,7 +131,7 @@ def test_sections_have_degree_alpha_and_lie_in_ideal():
     cox = hirzebruch(1)
     chow, prob = setup(cox, "x1^2*y0^2 + x0^3*x1*y1^2",
                        "x1*y0^2*y1^2 + x0^3*y1^4")
-    alpha = find_alpha(prob.ideal.degrees, cox, prob.functionals)
+    alpha = find_alpha(prob.degrees, cox, prob.functionals)
     assert alpha == (6, 4)
     rng = random.Random(11)
     G = groebner_basis(prob.ideal).elements
@@ -137,7 +152,7 @@ def test_colon_saturation_stability():
              (product_p1_cubed(), ("x0", "y0", "z0"), (3,))]
     for cox, texts, ds in cases:
         chow, prob = setup(cox, *texts)
-        alpha = find_alpha(prob.ideal.degrees, cox, prob.functionals)
+        alpha = find_alpha(prob.degrees, cox, prob.functionals)
         for d in ds:
             rng = random.Random("stab:%d" % d)
             sections = pick_sections(prob, alpha, d, rng, 50)
@@ -399,7 +414,7 @@ def test_sections_of_12_ray_point_within_2_s():
     cox = cyclic_surface(TWELVE_RAYS)
     gens = [parse_polynomial(t, cox.ring) for t in ("z0", "z1")]
     prob = preprocess(cox, None, gens)  # sections need no Chow ring
-    alpha = find_alpha(prob.ideal.degrees, cox, prob.functionals)
+    alpha = find_alpha(prob.degrees, cox, prob.functionals)
     monomials_of_degree.cache_clear()
     with time_limit(2, "the 12-ray sections"):
         sections = pick_sections(prob, alpha, 2, random.Random(0),
