@@ -146,52 +146,43 @@ class ChowRing:
 def build_chow_ring(cox):
     """Chow ring of the (validated) toric variety of ``cox``.
 
-    The linear relations are solved for the divisors of a maximal cone
-    (whose ray submatrix is unimodular, so the solved forms have unit
-    pivots) and a Groebner basis is computed with those divisors greatest.
-    Whether the surviving standard monomials form an integral basis depends
-    on the tie-break order among the remaining divisors, so pivot cones and
-    orders are tried until the rank check, monic leads (so normal forms stay
-    integral) and the point-class normalization (every maximal cone reduces
-    to +- the top monomial, with one common sign) all pass.
+    One ideal is built: the Stanley-Reisner monomials plus the k raw
+    linear relations sum_i <e_l, u_i> D_i.  Its reduced Groebner basis for
+    an order is unique, so it does not matter which basis of M spans the
+    relations; with the divisors of a maximal cone greatest (its ray
+    submatrix is unimodular) the basis holds their solved forms, with unit
+    leads.  Whether the surviving standard monomials form an integral
+    basis depends on the tie-break order among the remaining divisors, so
+    pivot cones and orders are tried until the rank check, monic leads (so
+    normal forms stay integral) and the point-class normalization (every
+    maximal cone reduces to +- the top monomial, with one common sign) all
+    pass.
     """
     fan = cox.fan
     r, k = fan.nrays, fan.dim
-    names = tuple("D%s" % n for n in cox.ring.names)
-    ctx = ungraded_context(names)
-    sr_gens = []
-    for nf in fan.minimal_non_faces():
-        e = [0] * r
-        for i in nf:
-            e[i] = 1
-        sr_gens.append(Polynomial.from_monomial(tuple(e)))
+    gens = [Polynomial.from_monomial(tuple(int(i in nf) for i in range(r)))
+            for nf in fan.minimal_non_faces()]
+    for l in range(k):
+        gens.append(Polynomial(r, {tuple(int(j == i) for j in range(r)): u[l]
+                                   for i, u in enumerate(fan.rays)}))
+    ideal = MultigradedIdeal.create(
+        gens, ungraded_context("D%s" % n for n in cox.ring.names))
     last_error = None
     for pivot_cone in fan.max_cones:
-        gens = list(sr_gens)
-        pivot_rays = [fan.rays[i] for i in pivot_cone]
-        for jj in range(k):
-            unit = [1 if i == jj else 0 for i in range(k)]
-            s = linalg.solve_integer(pivot_rays, unit)
-            lin = Polynomial.zero(r)
-            for i in range(r):
-                c = sum(int(si) * fan.rays[i][l] for l, si in enumerate(s))
-                if c:
-                    lin = lin + Polynomial.variable(r, i) * c
-            gens.append(lin)
-        ideal = MultigradedIdeal.create(gens, ctx)
-        rest = tuple(i for i in range(r) if i not in pivot_cone)
+        rest = fan.cone_complement(pivot_cone)
         for rest_perm in itertools.permutations(rest):
             order = GrevLex(tuple(pivot_cone) + rest_perm)
             try:
-                return _assemble(cox, ctx, ideal, order, names)
+                return _assemble(cox, ideal, order)
             except (RankMismatch, NormalizationInconsistent) as exc:
                 last_error = exc
     raise last_error
 
 
-def _assemble(cox, ctx, ideal, order, names):
+def _assemble(cox, ideal, order):
     fan = cox.fan
     r, k = fan.nrays, fan.dim
+    names = ideal.ctx.names
     gb = groebner_basis(ideal, order)
     leads = gb.leads
 
@@ -235,6 +226,6 @@ def _assemble(cox, ctx, ideal, order, names):
             raise NormalizationInconsistent(
                 "cone %r gives point class sign %d, earlier cones gave %d"
                 % (cone, lam, sign), cone=cone)
-    return ChowRing(cox=cox, ctx=ctx, gb=gb, bases=tuple(bases[:k + 1]),
+    return ChowRing(cox=cox, ctx=ideal.ctx, gb=gb, bases=tuple(bases[:k + 1]),
                     top=top, sign=sign)
 

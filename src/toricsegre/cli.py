@@ -15,8 +15,7 @@ import sys
 
 from .chow import build_chow_ring, chow_ranks
 from .cones import curve_functionals, find_ample
-from .errors import InputError, NotHomogeneous, ToricSegreError
-from .exactpoly import multidegree_of
+from .errors import InputError, ToricSegreError, ZeroPolynomial
 from .fan import Fan, build_cox_context, validate_smooth_complete
 from .parser import is_name, parse_polynomial
 from .segre import DEFAULT_COEFF_BOUND, preprocess, segre_class
@@ -100,13 +99,9 @@ def build_problem(doc):
     gens = []
     for idx, text in enumerate(doc["ideal"]):
         g = parse_polynomial(text, cox.ring)
-        try:
-            multidegree_of(g, cox.ring)
-        except NotHomogeneous as exc:
-            raise NotHomogeneous(
-                "ideal generator %d (%r) is not multihomogeneous: %s"
-                % (idx, text, exc),
-                **exc.details)
+        if g.is_zero():
+            raise ZeroPolynomial("ideal generator %d (%r) is the zero "
+                                 "polynomial" % (idx, text))
         gens.append(g)
     return cox, chow, gens
 

@@ -151,9 +151,9 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars, i, exp=1):
+    def variable(cls, nvars, i):
         e = [0] * nvars
-        e[i] = exp
+        e[i] = 1
         return cls(nvars, {tuple(e): 1})
 
     @classmethod

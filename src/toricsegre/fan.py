@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 
@@ -165,13 +164,9 @@ def wall_relations(fan):
 
 
 def grading_matrix(fan):
-    """Canonical cokernel projection of the ray matrix plus a heft vector.
-
-    Returns (A, heft): A is an (r-k) x r integer matrix with A . rays^T = 0,
-    surjective onto Z^(r-k), in row Hermite normal form; heft satisfies
-    heft . column_i > 0 for every variable.  Raises NoPositiveGrading if no
-    heft exists.
-    """
+    """Canonical cokernel projection of the ray matrix: an (r-k) x r
+    integer matrix A with A . rays^T = 0, surjective onto Z^(r-k), in row
+    Hermite normal form."""
     r, k = fan.nrays, fan.dim
     ray_matrix = [list(v) for v in fan.rays]  # r x k, rows are rays
     d, u, _v = linalg.smith_normal_form(ray_matrix)
@@ -182,18 +177,15 @@ def grading_matrix(fan):
                 % d[i][i])
     a = [u[i] for i in range(k, r)]
     a, _ = linalg.row_hermite(a)
-    a = tuple(tuple(row) for row in a)
-    heft = find_heft(a)
-    return a, heft
+    return tuple(tuple(row) for row in a)
 
 
 def find_heft(a):
     """Integer h with h . a_col_i >= 1 for every column, by exact linear
-    feasibility, cleared of denominators."""
+    feasibility, cleared of denominators.  Raises NoPositiveGrading if no
+    heft exists."""
     rows = len(a)
-    cols = len(a[0]) if a else 0
-    system = [(tuple(a[i][j] for i in range(rows)), Fraction(-1))
-              for j in range(cols)]
+    system = [(col, -1) for col in zip(*a)]
     point = linalg.fm_feasible_point(system, rows)
     if point is None:
         raise NoPositiveGrading("no heft vector exists for this grading")
@@ -215,7 +207,7 @@ def validate_degree_matrix(fan, degrees):
             if sum(row[i] * fan.rays[i][j] for i in range(r)) != 0:
                 raise InvalidGrading(
                     "degree matrix does not annihilate the ray matrix")
-    canonical, _ = grading_matrix(fan)
+    canonical = grading_matrix(fan)
     if not all(linalg.in_integer_row_span(canonical, row) for row in a):
         raise InvalidGrading("degree rows are not integral Picard classes")
     if not all(linalg.in_integer_row_span(a, row) for row in canonical):
@@ -237,7 +229,7 @@ class CoxContext:
 
 def build_cox_context(fan, names=None, degrees=None):
     """Cox ring of the fan: grading (canonical or user-supplied after
-    validation) and heft."""
+    validation) and its heft."""
     r = fan.nrays
     if names is None:
         names = tuple("z%d" % i for i in range(r))
@@ -248,21 +240,23 @@ def build_cox_context(fan, names=None, degrees=None):
         if len(set(names)) != r:
             raise InvalidFan("duplicate variable names")
     if degrees is None:
-        a, heft = grading_matrix(fan)
+        a = grading_matrix(fan)
     else:
         a = validate_degree_matrix(fan, degrees)
-        heft = find_heft(a)
-    ring = RingContext(names=names, grading=a, heft=heft)
+    ring = RingContext(names=names, grading=a, heft=find_heft(a))
     return CoxContext(ring=ring, fan=fan)
 
 
-def chart_dehomogenize(I, cox, cone_index):
-    """Substitute 1 for every off-chart variable; returns the affine ideal
-    in the ungraded chart ring, whose variables are the rays of the chosen
-    maximal cone in index order."""
-    cone = cox.fan.max_cones[cone_index]
-    off = cox.fan.cone_complement(cone)
-    ctx = ungraded_context([cox.ring.names[i] for i in cone])
-    gens = [g.set_to_one(off) for g in I.generators]
-    return MultigradedIdeal.create([g for g in gens if not g.is_zero()],
-                                   ctx)
+def chart_dehomogenize(gens, cox):
+    """The ideals of the Cox-ring polynomials ``gens`` on the charts of the
+    maximal cones, in cone order: every off-chart variable is set to 1,
+    and the ring of a chart has the rays of its cone as variables, in
+    index order."""
+    names, fan = cox.ring.names, cox.fan
+    out = []
+    for cone in fan.max_cones:
+        off = fan.cone_complement(cone)
+        out.append(MultigradedIdeal.create(
+            [g.set_to_one(off) for g in gens],
+            ungraded_context([names[i] for i in cone])))
+    return tuple(out)

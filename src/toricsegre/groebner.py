@@ -270,9 +270,6 @@ class MultigradedIdeal:
         return cls(generators=tuple(g for g in gens if not g.is_zero()),
                    ctx=ctx)
 
-    def is_zero(self):
-        return not self.generators
-
     def default_order(self):
         return GrevLex(range(self.ctx.nvars))
 
@@ -381,7 +378,7 @@ def saturate_ideal(I, J):
 
     The eliminated basis is the result's reduced basis for its default
     order, so it goes into the result's cache."""
-    if J.is_zero():
+    if not J.generators:
         raise ValueError("cannot saturate by the zero ideal")
     raws = [g.coeffs for g in J.generators]
     if any(max(sum(m) for m in p) == 0 for p in raws):

@@ -43,34 +43,22 @@ def rational_rank(rows):
     return len(rref(rows)[1])
 
 
-def solve_rational(a_rows, b):
-    """One rational solution x of A x = b, or None if inconsistent."""
-    if not a_rows:
-        return None if any(b) else ()
-    n = len(a_rows[0])
-    aug = [list(row) + [bb] for row, bb in zip(a_rows, b)]
-    m, pivots = rref(aug)
+def solve_linear_system(rows, rhs):
+    """One rational solution x of the (possibly overdetermined) system
+    rows . x = rhs, or None when it is inconsistent.
+
+    The system is consistent exactly when the reduced echelon form of the
+    augmented matrix has no pivot in its last column, and then the
+    solution read off it satisfies every row.
+    """
+    n = len(rows[0])
+    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
     if n in pivots:
         return None
     x = [Fraction(0)] * n
     for r, col in enumerate(pivots):
         x[col] = m[r][-1]
     return tuple(x)
-
-
-def solve_linear_system(rows, rhs):
-    """Solve the (possibly overdetermined) system rows . x = rhs exactly.
-
-    Returns (solution, consistent): the solution uses a maximal independent
-    subset of rows; ``consistent`` reports whether every row is satisfied.
-    """
-    x = solve_rational(rows, rhs)
-    if x is None:
-        return None, False
-    for row, b in zip(rows, rhs):
-        if sum(a * xi for a, xi in zip(row, x)) != b:
-            return x, False
-    return x, True
 
 
 # --- integer normal forms --------------------------------------------------
@@ -231,22 +219,11 @@ def in_integer_row_span(rows, target):
 # --- Fourier-Motzkin -------------------------------------------------------
 
 def _normalize_ineq(coeffs, const):
-    denoms = [c.denominator for c in coeffs if isinstance(c, Fraction)]
-    if isinstance(const, Fraction):
-        denoms.append(const.denominator)
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ic = [int(c * mult) for c in coeffs]
-    k = int(const * mult)
-    g = 0
-    for c in ic:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(k))
+    """The integer row (coeffs, const) divided by the gcd of its entries."""
+    g = gcd(*coeffs, const)
     if g > 1:
-        ic = [c // g for c in ic]
-        k //= g
-    return tuple(ic), k
+        return tuple(c // g for c in coeffs), const // g
+    return tuple(coeffs), const
 
 
 def fm_eliminate(system, var):
@@ -265,7 +242,7 @@ def fm_eliminate(system, var):
             f_p, f_n = -an[var], ap[var]
             coeffs = tuple(f_p * a + f_n * b for a, b in zip(ap, an))
             const = f_p * cp + f_n * cn
-            iq = _normalize_ineq([Fraction(c) for c in coeffs], Fraction(const))
+            iq = _normalize_ineq(coeffs, const)
             if iq not in seen:
                 seen.add(iq)
                 out.append(iq)
@@ -280,8 +257,7 @@ def fm_stages(system, nvars):
     entry v involves only variables v..nvars-1 and describes the projection
     of the input polyhedron onto them; the last entry has no variables.
     """
-    current = [_normalize_ineq([Fraction(c) for c in a], Fraction(k))
-               for a, k in system]
+    current = [_normalize_ineq(a, k) for a, k in system]
     stages = [current]
     for var in range(nvars):
         current = fm_eliminate(current, var)

@@ -29,13 +29,13 @@ from math import comb
 from . import linalg
 from .cones import curve_functionals, find_alpha, is_nef
 from .errors import (DimensionFailure, EmptySubscheme, InconsistentSystem,
-                     NonIntegerSolution, NotZeroDimensional, RetriesExhausted,
-                     WholeSpace)
+                     NonIntegerSolution, NotHomogeneous, NotZeroDimensional,
+                     RetriesExhausted, WholeSpace)
 from .exactpoly import (Polynomial, monomials_of_total_degree,
                         multidegree_of, random_homogeneous)
 from .fan import chart_dehomogenize
-from .groebner import (MultigradedIdeal, groebner_basis, krull_dimension,
-                       saturate_ideal, vector_space_dimension)
+from .groebner import (groebner_basis, krull_dimension, saturate_ideal,
+                       vector_space_dimension)
 
 # Random coefficients are drawn from +-[1, DEFAULT_COEFF_BOUND].  A draw
 # whose sections meet Z non-transversally at the top codimension is not
@@ -49,14 +49,14 @@ RETRYABLE = (DimensionFailure, InconsistentSystem, NonIntegerSolution,
 
 @dataclass(frozen=True)
 class SubschemeInput:
-    """Preprocessed problem: validated geometry, the ideal, its degrees,
-    its charts."""
+    """Preprocessed problem: validated geometry, the input generators,
+    their degrees, their charts."""
 
     cox: object
     chow: object
-    ideal: object  # as given (sections and the bounding class come from it)
-    degrees: tuple  # multidegree_of each generator of ideal
-    charts: tuple  # chart_dehomogenize(ideal) per maximal cone
+    generators: tuple  # nonzero input generators (sections come from them)
+    degrees: tuple  # multidegree_of each generator
+    charts: tuple  # chart_dehomogenize(generators), one per maximal cone
     dim: int
     codim: int
     functionals: tuple
@@ -78,19 +78,12 @@ class ResidualData:
 class SegreResult:
     alpha: tuple
     dim: int
-    ambient_dim: int
     components: tuple  # Chow classes s_0 .. s_n
     total: object
     residuals: tuple  # ResidualData per cut codimension
     seed: object
     attempt: int
     coeff_bound: int
-
-
-def _charts(I, cox):
-    """Chart ideals of V(I), one per maximal cone in cone order."""
-    return tuple(chart_dehomogenize(I, cox, t)
-                 for t in range(len(cox.fan.max_cones)))
 
 
 def _dimension(charts):
@@ -101,15 +94,25 @@ def _dimension(charts):
 
 
 def preprocess(cox, chow, generators):
-    """Grade the input ideal, dehomogenize it on every chart and classify
-    the subscheme.  Raises NotHomogeneous, before any chart work, for a
-    generator whose terms differ in degree, and WholeSpace /
+    """Grade the input generators, dehomogenize them on every chart and
+    classify the subscheme.  Zero generators are dropped.  Raises
+    NotHomogeneous, before any chart work, for a generator whose terms
+    differ in degree, naming its index in ``generators``, and WholeSpace /
     EmptySubscheme for the degenerate cases."""
-    ideal = MultigradedIdeal.create(generators, cox.ring)
-    degrees = tuple(multidegree_of(g, cox.ring) for g in ideal.generators)
-    if ideal.is_zero():
+    gens, degrees = [], []
+    for idx, g in enumerate(generators):
+        if g.is_zero():
+            continue
+        try:
+            degrees.append(multidegree_of(g, cox.ring))
+        except NotHomogeneous as exc:
+            raise NotHomogeneous(
+                "ideal generator %d (%s) is not multihomogeneous: %s"
+                % (idx, g.format(cox.ring.names), exc), **exc.details)
+        gens.append(g)
+    if not gens:
         raise WholeSpace("the ideal is zero")
-    charts = _charts(ideal, cox)
+    charts = chart_dehomogenize(gens, cox)
     n = _dimension(charts)
     if n is None:
         raise EmptySubscheme("the ideal is the unit ideal on every chart")
@@ -118,9 +121,9 @@ def preprocess(cox, chow, generators):
         raise WholeSpace("the subscheme has dimension %d in a %d-fold"
                          % (n, k))
     functionals = curve_functionals(cox)
-    return SubschemeInput(cox=cox, chow=chow, ideal=ideal, degrees=degrees,
-                          charts=charts, dim=n, codim=k - n,
-                          functionals=functionals)
+    return SubschemeInput(cox=cox, chow=chow, generators=tuple(gens),
+                          degrees=tuple(degrees), charts=charts, dim=n,
+                          codim=k - n, functionals=functionals)
 
 
 def pick_sections(problem, alpha, d, rng, coeff_bound):
@@ -130,7 +133,7 @@ def pick_sections(problem, alpha, d, rng, coeff_bound):
     out = []
     for _ in range(d):
         f = Polynomial.zero(ring.nvars)
-        for g, delta in zip(problem.ideal.generators, problem.degrees):
+        for g, delta in zip(problem.generators, problem.degrees):
             gap = tuple(a - x for a, x in zip(alpha, delta))
             f = f + g * random_homogeneous(gap, rng, coeff_bound, ring)
         out.append(f)
@@ -140,29 +143,27 @@ def pick_sections(problem, alpha, d, rng, coeff_bound):
 def residual_ideal(problem, sections):
     """Chart ideals of the residual scheme: on each chart, the section
     ideal with the subscheme quotiented out, (F_sigma : I_sigma^inf)."""
-    F = MultigradedIdeal.create(sections, problem.cox.ring)
     return tuple(saturate_ideal(F_t, I_t) for F_t, I_t
-                 in zip(_charts(F, problem.cox), problem.charts))
+                 in zip(chart_dehomogenize(sections, problem.cox),
+                        problem.charts))
 
 
-def zero_dim_length(I, cox):
+def zero_dim_length(charts, cox):
     """Length of a zero-dimensional subscheme of X, by a chart sweep.
 
-    ``I`` is its Cox-ring ideal or the tuple of its chart ideals.  Chart t
-    contributes the length of the part of V(I) supported away from all
-    earlier charts.  With J the chart ideal and v = vsdim(J), let m_s be
-    the product of the chart variables of the rays outside an earlier
-    cone s (the dehomogenized irrelevant monomial of s).  That part is cut
-    out by J + (m_s^v): k[x]/J is the product of its local rings, each of
-    length at most v, so m_s^v is zero in the local ring of a point where
-    m_s vanishes and a unit in that of a point of chart s.  Raises
-    NotZeroDimensional when some chart ideal is not Artinian.
+    ``charts`` holds its ideal on each chart, in cone order.  Chart t
+    contributes the length of the part of the subscheme supported away
+    from all earlier charts.  With J the chart ideal and v = vsdim(J), let
+    m_s be the product of the chart variables of the rays outside an
+    earlier cone s (the dehomogenized irrelevant monomial of s).  That
+    part is cut out by J + (m_s^v): k[x]/J is the product of its local
+    rings, each of length at most v, so m_s^v is zero in the local ring of
+    a point where m_s vanishes and a unit in that of a point of chart s.
+    Raises NotZeroDimensional when some chart ideal is not Artinian.
     """
-    if isinstance(I, MultigradedIdeal):
-        I = _charts(I, cox)
     total = 0
     cones = cox.fan.max_cones
-    for t, J in enumerate(I):
+    for t, J in enumerate(charts):
         v = vector_space_dimension(J)
         if t == 0 or v == 0:
             total += v
@@ -244,13 +245,13 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
             for _ in range(pj):
                 cuts.append(random_homogeneous(delta, rng, coeff_bound,
                                                cox.ring))
-        cut_charts = _charts(MultigradedIdeal.create(cuts, cox.ring), cox)
+        cut_charts = chart_dehomogenize(cuts, cox)
         gamma = zero_dim_length(
             tuple(groebner_basis(R).extend(C.generators)
                   for R, C in zip(I_R, cut_charts)), cox)
         gammas.append(gamma)
-    sol, consistent = linalg.solve_linear_system(rows, gammas)
-    if sol is None or not consistent:
+    sol = linalg.solve_linear_system(rows, gammas)
+    if sol is None:
         raise InconsistentSystem(
             "degree equations for the codim-%d residual disagree" % d,
             rows=tuple(map(tuple, rows)), gammas=tuple(gammas))
@@ -299,7 +300,7 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
     total = chow.zero()
     for s in components:
         total = total + s
-    return SegreResult(alpha=tuple(alpha), dim=n, ambient_dim=k,
+    return SegreResult(alpha=tuple(alpha), dim=n,
                        components=tuple(components),
                        total=total, residuals=tuple(residuals), seed=seed,
                        attempt=attempt, coeff_bound=coeff_bound)

@@ -8,7 +8,7 @@ from math import gcd
 
 from toricsegre import linalg
 from toricsegre.errors import NonIntegerCoefficient, NotComplete, NotSmooth
-from toricsegre.exactpoly import Polynomial
+from toricsegre.exactpoly import Polynomial, ungraded_context
 from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
                                  _monomial_divides, _monomial_mul, _primitive,
                                  groebner_basis, saturate_ideal)
@@ -86,6 +86,33 @@ def validate_by_facet_normals(fan):
                 % (fan.max_cones[hits[0][0]], fan.max_cones[hits[1][0]], facet),
                 facet=facet)
     return True
+
+
+def chow_ideal_by_solved_forms(cox, pivot_cone):
+    """The Chow ideal as ``chow.build_chow_ring`` built it for each pivot
+    cone before it took the raw lattice relations: the Stanley-Reisner
+    monomials plus, for each l, the relation sum_i <m_l, u_i> D_i of the
+    dual basis vector m_l of the pivot cone's rays (the integer solution of
+    <m_l, u_j> = delta_jl over the rays u_j of the cone), which solves the
+    relations for the cone's divisors."""
+    fan = cox.fan
+    r, k = fan.nrays, fan.dim
+    gens = []
+    for nf in fan.minimal_non_faces():
+        gens.append(Polynomial.from_monomial(
+            tuple(1 if i in nf else 0 for i in range(r))))
+    pivot_rays = [fan.rays[i] for i in pivot_cone]
+    for l in range(k):
+        m = linalg.solve_integer(pivot_rays,
+                                 [1 if j == l else 0 for j in range(k)])
+        lin = Polynomial.zero(r)
+        for i in range(r):
+            c = sum(int(mj) * fan.rays[i][j] for j, mj in enumerate(m))
+            if c:
+                lin = lin + Polynomial.variable(r, i) * c
+        gens.append(lin)
+    return MultigradedIdeal.create(
+        gens, ungraded_context("D%s" % n for n in cox.ring.names))
 
 
 def irrelevant_ideal(cox):

@@ -14,6 +14,7 @@ from toricsegre.chow import build_chow_ring, chow_ranks
 from toricsegre.cones import curve_functionals, is_nef
 from toricsegre.exactpoly import (Polynomial, multidegree_of,
                                   random_homogeneous)
+from toricsegre.fan import chart_dehomogenize
 from toricsegre.groebner import MultigradedIdeal, saturate_ideal
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
@@ -128,7 +129,7 @@ def test_criterion_3_threefold_example(example3, capsys):
     # s = D1.D2/((1+D1)(1+D2)) = (D1.D2, -(D1+D2).D1.D2)
     for chow, prob, res, _elapsed in runs:
         d1, d2 = (chow.pic_to_chow(multidegree_of(g, cox.ring))
-                  for g in prob.ideal.generators)
+                  for g in prob.generators)
         prod = chow.multiply(d1, d2)
         assert res.components[0] == chow.reduce(prod)
         assert res.components[1] == chow.reduce(
@@ -276,7 +277,8 @@ def test_criterion_8_length_oracle(example1, example2, capsys):
                 I = MultigradedIdeal.create(gens, cox.ring)
                 ideal = I if ideal is None else intersect(ideal, I)
             ideal = saturate_ideal(ideal, irrelevant_ideal(cox))
-            assert zero_dim_length(ideal, cox) == total, (space, chosen)
+            charts = chart_dehomogenize(ideal.generators, cox)
+            assert zero_dim_length(charts, cox) == total, (space, chosen)
             cases += 1
     assert cases == 20
     # gamma values identical across seeds on the worked examples

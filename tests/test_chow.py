@@ -1,20 +1,27 @@
 """Chow rings: ranks, degrees, known intersection numbers, pairing
 non-degeneracy."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsegre import linalg
-from toricsegre.chow import build_chow_ring, chow_ranks
-from toricsegre.errors import CodimOverflow, NoIntegerLift
-from toricsegre.exactpoly import Polynomial, random_homogeneous
+from toricsegre.chow import _assemble, build_chow_ring, chow_ranks
+from toricsegre.errors import (CodimOverflow, NoIntegerLift,
+                               NormalizationInconsistent, RankMismatch)
+from toricsegre.exactpoly import GrevLex, Polynomial, random_homogeneous
+from toricsegre.fan import Fan, build_cox_context, validate_smooth_complete
 from toricsegre.groebner import groebner_basis
-from toricsegre.library import hirzebruch, projective_space
+from toricsegre.library import (hirzebruch, product_p1_cubed,
+                                projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
 
 from _fans import fan_library
-from _oracles import _det, irrelevant_ideal
+from _oracles import _det, chow_ideal_by_solved_forms, irrelevant_ideal
+from test_fan import star_subdivide
 
 
 def chow_of(name):
@@ -150,3 +157,58 @@ def test_f2_presentation_is_monic_and_unchanged():
     assert chow.sign == 1
     assert all(g.coeffs[lead] == 1 for g, lead
                in zip(chow.gb.elements, chow.gb.leads))
+
+
+def chow_ring_by_solved_forms(cox):
+    """``build_chow_ring`` as it was before it took the raw lattice
+    relations: each pivot cone solves them again, and its orders are tried
+    on that cone's ideal."""
+    last_error = None
+    for cone in cox.fan.max_cones:
+        ideal = chow_ideal_by_solved_forms(cox, cone)
+        for perm in itertools.permutations(cox.fan.cone_complement(cone)):
+            try:
+                return _assemble(cox, ideal, GrevLex(cone + perm))
+            except (RankMismatch, NormalizationInconsistent) as exc:
+                last_error = exc
+    raise last_error
+
+
+def assert_same_presentation(cox):
+    got, want = build_chow_ring(cox), chow_ring_by_solved_forms(cox)
+    assert repr(got.gb.order) == repr(want.gb.order), cox.fan.rays
+    assert got.gb.elements == want.gb.elements, cox.fan.rays
+    assert (got.bases, got.top, got.sign) == (want.bases, want.top,
+                                              want.sign), cox.fan.rays
+
+
+def test_raw_relations_match_solved_forms_on_library_fans():
+    """The one ideal of the raw lattice relations gives the basis, order,
+    standard monomials, top monomial and sign that the per-pivot solved
+    forms gave, on every library fan."""
+    for cox in fan_library().values():
+        assert_same_presentation(cox)
+
+
+@st.composite
+def star_subdivisions(draw):
+    """One to three star subdivisions of P2, P1 x P1, P3, P1^3 or
+    P2 x P1."""
+    base = draw(st.sampled_from(
+        (projective_space(2), hirzebruch(0), projective_space(3),
+         product_p1_cubed(), threefold_p2_x_p1()))).fan
+    rays, cones = base.rays, list(base.max_cones)
+    for _ in range(draw(st.integers(1, 3))):
+        cone = draw(st.sampled_from(cones))
+        face = draw(st.sampled_from(
+            [f for size in range(2, base.dim + 1)
+             for f in itertools.combinations(cone, size)]))
+        rays, cones = star_subdivide(rays, cones, face)
+    return Fan(rays, tuple(cones))
+
+
+@given(star_subdivisions())
+@settings(max_examples=25, deadline=None)
+def test_raw_relations_match_solved_forms_on_star_subdivisions(fan):
+    assert validate_smooth_complete(fan)
+    assert_same_presentation(build_cox_context(fan))

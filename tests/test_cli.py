@@ -182,6 +182,25 @@ def test_inhomogeneous_generator_reports_degrees(tmp_path, capsys):
     assert "E_NOT_HOMOGENEOUS" in err
 
 
+def test_inhomogeneous_generator_named_by_index(tmp_path, capsys):
+    doc = dict(F1_DOC, ideal=["x0", "x0 + y1"])
+    rc = cli.main(["--input", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "E_NOT_HOMOGENEOUS" in err
+    assert "ideal generator 1 (x0 + y1)" in err
+
+
+def test_zero_generator_exit_code(tmp_path, capsys):
+    for ideal, idx in ((["x0 - x0"], 0), (["x0", "0"], 1)):
+        doc = dict(F1_DOC, ideal=ideal)
+        rc = cli.main(["--input", write_doc(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == 2, ideal
+        assert "E_ZERO_POLYNOMIAL" in err, ideal
+        assert "ideal generator %d " % idx in err, ideal
+
+
 def test_empty_subscheme_exit_code(tmp_path, capsys):
     doc = dict(F1_DOC, ideal=["x0", "x1", "y0"])
     rc = cli.main(["--input", write_doc(tmp_path, doc)])

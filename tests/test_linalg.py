@@ -36,16 +36,16 @@ def test_rank_oracle():
 
 
 def test_solve_rational_oracle():
-    x = linalg.solve_rational([[2, 0], [0, 4]], [1, 1])
+    x = linalg.solve_linear_system([[2, 0], [0, 4]], [1, 1])
     assert list(x) == [Fraction(1, 2), Fraction(1, 4)]
-    assert linalg.solve_rational([[1, 1], [1, 1]], [0, 1]) is None
+    assert linalg.solve_linear_system([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_solve_linear_system_consistency_flag():
-    sol, ok = linalg.solve_linear_system([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
-    assert ok and list(sol) == [2, 3]
-    sol, ok = linalg.solve_linear_system([[1, 0], [0, 1], [1, 1]], [2, 3, 6])
-    assert not ok
+    sol = linalg.solve_linear_system([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
+    assert list(sol) == [2, 3]
+    sol = linalg.solve_linear_system([[1, 0], [0, 1], [1, 1]], [2, 3, 6])
+    assert sol is None
 
 
 @given(matrices())

@@ -99,6 +99,18 @@ def test_preprocess_grades_the_input_before_any_basis():
     assert (info.value.degree_a, info.value.degree_b) == ((1, 0), (0, 1))
 
 
+def test_preprocess_names_the_inhomogeneous_generator():
+    """The library path names a non-multihomogeneous generator by its
+    index in the list given, zero generators included, and by its text."""
+    cox = hirzebruch(1)
+    chow = build_chow_ring(cox)
+    gens = [parse_polynomial(t, cox.ring) for t in ("x0", "0", "x0 + y1")]
+    with pytest.raises(NotHomogeneous) as info:
+        preprocess(cox, chow, gens)
+    assert "ideal generator 2 (x0 + y1)" in str(info.value)
+    assert (info.value.degree_a, info.value.degree_b) == ((1, 0), (0, 1))
+
+
 def test_point_in_p2():
     cox = projective_space(2)
     chow, prob = setup(cox, "x0", "x1 - x2")
@@ -134,11 +146,12 @@ def test_sections_have_degree_alpha_and_lie_in_ideal():
     alpha = find_alpha(prob.degrees, cox, prob.functionals)
     assert alpha == (6, 4)
     rng = random.Random(11)
-    G = groebner_basis(prob.ideal).elements
+    G = groebner_basis(
+        MultigradedIdeal.create(prob.generators, cox.ring)).elements
     for f in pick_sections(prob, alpha, 2, rng, 50):
         assert multidegree_of(f, cox.ring) == alpha
         with_f = MultigradedIdeal.create(
-            list(prob.ideal.generators) + [f], cox.ring)
+            list(prob.generators) + [f], cox.ring)
         assert groebner_basis(with_f).elements == G
 
 
@@ -159,10 +172,11 @@ def test_colon_saturation_stability():
             charts = residual_ideal(prob, sections)
             F = MultigradedIdeal.create(sections, cox.ring)
             cox_residual = saturate_ideal(
-                saturate_ideal(F, irrelevant_ideal(cox)), prob.ideal)
+                saturate_ideal(F, irrelevant_ideal(cox)),
+                MultigradedIdeal.create(prob.generators, cox.ring))
+            oracles = chart_dehomogenize(cox_residual.generators, cox)
             assert len(charts) == len(cox.fan.max_cones)
-            for t, chart in enumerate(charts):
-                oracle = chart_dehomogenize(cox_residual, cox, t)
+            for t, (chart, oracle) in enumerate(zip(charts, oracles)):
                 assert (groebner_basis(chart).elements
                         == groebner_basis(oracle).elements), (texts, d, t)
 
@@ -204,12 +218,17 @@ def point_ideal_p1p1(cox, p, q):
     return [x0 * p[1] - x1 * p[0], y0 * q[1] - y1 * q[0]]
 
 
+def length_of(I, cox):
+    """``zero_dim_length`` of a Cox-ring ideal, through its charts."""
+    return zero_dim_length(chart_dehomogenize(I.generators, cox), cox)
+
+
 def test_zero_dim_length_single_points():
     cox = hirzebruch(0)
     for p, q in (((1, 0), (1, 0)), ((1, 1), (2, 3)), ((0, 1), (1, -1))):
         I = MultigradedIdeal.create(point_ideal_p1p1(cox, p, q), cox.ring)
         I = saturate_ideal(I, irrelevant_ideal(cox))
-        assert zero_dim_length(I, cox) == 1, (p, q)
+        assert length_of(I, cox) == 1, (p, q)
 
 
 def test_zero_dim_length_fat_point():
@@ -219,7 +238,7 @@ def test_zero_dim_length_fat_point():
     sq = [a * b for a in gens for b in gens]
     I = saturate_ideal(MultigradedIdeal.create(sq, cox.ring),
                        irrelevant_ideal(cox))
-    assert zero_dim_length(I, cox) == 3
+    assert length_of(I, cox) == 3
 
 
 def test_zero_dim_length_union():
@@ -229,7 +248,7 @@ def test_zero_dim_length_union():
     B = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 1), (2, 1)),
                                 cox.ring)
     I = saturate_ideal(intersect(A, B), irrelevant_ideal(cox))
-    assert zero_dim_length(I, cox) == 2
+    assert length_of(I, cox) == 2
 
 
 def length_by_saturation(charts, cox):
@@ -361,10 +380,10 @@ def test_zero_dim_length_curvilinear_fat_point():
     fat = MultigradedIdeal.create([x0 ** 4, y0 * x1 - x0 * y1], cox.ring)
     point = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 1), (1, 1)),
                                     cox.ring)
-    assert zero_dim_length(fat, cox) == 4
+    assert length_of(fat, cox) == 4
     I = intersect(fat, point)
-    assert zero_dim_length(I, cox) == 5
-    charts = tuple(chart_dehomogenize(I, cox, t) for t in range(4))
+    charts = chart_dehomogenize(I.generators, cox)
+    assert zero_dim_length(charts, cox) == 5
     assert length_by_saturation(charts, cox) == 5
 
 
