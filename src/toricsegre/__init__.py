@@ -9,12 +9,12 @@ from .exactpoly import (Polynomial, RingContext, multidegree_of,
                         random_homogeneous)
 from .fan import (CoxContext, Fan, build_cox_context, grading_matrix,
                   validate_smooth_complete)
-from .groebner import MultigradedIdeal
+from .groebner import Ideal
 from .parser import parse_polynomial
 from .segre import (SegreResult, preprocess, segre_class, zero_dim_length)
 
 __all__ = [
-    "ChowRing", "CoxContext", "Fan", "MultigradedIdeal", "Polynomial",
+    "ChowRing", "CoxContext", "Fan", "Ideal", "Polynomial",
     "RingContext", "SegreResult", "ToricSegreError", "build_chow_ring",
     "build_cox_context", "chow_ranks", "curve_functionals", "find_alpha",
     "find_ample", "grading_matrix", "is_nef", "multidegree_of",

@@ -18,9 +18,8 @@ from math import comb
 from . import linalg
 from .errors import (CodimOverflow, NoIntegerLift, NormalizationInconsistent,
                      NotHomogeneous, RankMismatch)
-from .exactpoly import (GrevLex, Polynomial, monomials_of_total_degree,
-                        ungraded_context)
-from .groebner import MultigradedIdeal, groebner_basis, normal_form
+from .exactpoly import GrevLex, Polynomial, monomials_of_total_degree
+from .groebner import Ideal, groebner_basis, normal_form
 
 
 def chow_ranks(fan):
@@ -45,7 +44,7 @@ class ChowRing:
     """
 
     cox: object
-    ctx: object
+    names: tuple
     gb: object
     bases: tuple
     top: tuple
@@ -57,7 +56,7 @@ class ChowRing:
 
     @property
     def nvars(self):
-        return self.ctx.nvars
+        return len(self.names)
 
     def zero(self):
         return Polynomial.zero(self.nvars)
@@ -140,15 +139,16 @@ class ChowRing:
         return Polynomial(self.nvars, dict(zip(self.bases[p], coeffs)))
 
     def format_class(self, c):
-        return self.reduce(c).format(self.ctx.names)
+        return self.reduce(c).format(self.names)
 
 
 def build_chow_ring(cox):
     """Chow ring of the (validated) toric variety of ``cox``.
 
-    One ideal is built: the Stanley-Reisner monomials plus the k raw
-    linear relations sum_i <e_l, u_i> D_i.  Its reduced Groebner basis for
-    an order is unique, so it does not matter which basis of M spans the
+    The ideal's generators are built once: the Stanley-Reisner monomials
+    plus the k raw linear relations sum_i <e_l, u_i> D_i, and each order
+    tried makes its ideal from them.  Its reduced Groebner basis for an
+    order is unique, so it does not matter which basis of M spans the
     relations; with the divisors of a maximal cone greatest (its ray
     submatrix is unimodular) the basis holds their solved forms, with unit
     leads.  Whether the surviving standard monomials form an integral
@@ -165,25 +165,24 @@ def build_chow_ring(cox):
     for l in range(k):
         gens.append(Polynomial(r, {tuple(int(j == i) for j in range(r)): u[l]
                                    for i, u in enumerate(fan.rays)}))
-    ideal = MultigradedIdeal.create(
-        gens, ungraded_context("D%s" % n for n in cox.ring.names))
+    names = tuple("D%s" % n for n in cox.ring.names)
     last_error = None
     for pivot_cone in fan.max_cones:
         rest = fan.cone_complement(pivot_cone)
         for rest_perm in itertools.permutations(rest):
             order = GrevLex(tuple(pivot_cone) + rest_perm)
             try:
-                return _assemble(cox, ideal, order)
+                return _assemble(cox, Ideal.create(gens, names, order))
             except (RankMismatch, NormalizationInconsistent) as exc:
                 last_error = exc
     raise last_error
 
 
-def _assemble(cox, ideal, order):
+def _assemble(cox, ideal):
     fan = cox.fan
     r, k = fan.nrays, fan.dim
-    names = ideal.ctx.names
-    gb = groebner_basis(ideal, order)
+    names = ideal.names
+    gb = groebner_basis(ideal)
     leads = gb.leads
 
     def is_standard(m):
@@ -226,6 +225,6 @@ def _assemble(cox, ideal, order):
             raise NormalizationInconsistent(
                 "cone %r gives point class sign %d, earlier cones gave %d"
                 % (cone, lam, sign), cone=cone)
-    return ChowRing(cox=cox, ctx=ideal.ctx, gb=gb, bases=tuple(bases[:k + 1]),
+    return ChowRing(cox=cox, names=names, gb=gb, bases=tuple(bases[:k + 1]),
                     top=top, sign=sign)
 

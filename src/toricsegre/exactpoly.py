@@ -1,10 +1,10 @@
 """Exact multivariate polynomial arithmetic over the integers.
 
 Monomials are exponent tuples, coefficients are Python ints (zero terms
-are never stored), and a ring context carries the multigrading:
-an integer matrix with one column per variable plus a heft vector making
-every variable weight positive.  All values are immutable; every operation
-is a pure function, so shared read-only use from several threads is safe.
+are never stored), and the Cox ring's context carries its multigrading:
+an integer matrix with one column per variable.  All values are
+immutable; every operation is a pure function, so shared read-only use
+from several threads is safe.
 """
 
 from __future__ import annotations
@@ -22,30 +22,21 @@ MultiDegree = tuple  # vector in Pic coordinates, one entry per grading row
 
 @dataclass(frozen=True)
 class RingContext:
-    """Variable names, grading matrix and heft vector of a polynomial ring.
+    """Variable names and grading matrix of the Cox ring.
 
     ``grading`` has one row per Picard coordinate and one column per
-    variable; it may have zero rows, in which case the ring is ungraded,
-    which is how affine chart rings and the Chow ring are modelled.  The
-    grading serves the Cox ring's degrees and sections only: the monomial
-    orders and the Groebner engine do not read it.
+    variable.  It serves the Cox ring's degrees and sections only: the
+    monomial orders and the Groebner engine do not read it, and take
+    variable names alone.
     """
 
     names: tuple
     grading: tuple  # rows, each a tuple of len(names) ints
-    heft: tuple
 
     def __post_init__(self):
-        r = len(self.names)
         for row in self.grading:
-            if len(row) != r:
+            if len(row) != len(self.names):
                 raise ValueError("grading row length != variable count")
-        if len(self.heft) != len(self.grading):
-            raise ValueError("heft length != number of grading rows")
-        for i in range(r):
-            if self.grading and self.weight(i) <= 0:
-                raise ValueError(
-                    "variable %s has non-positive heft weight" % self.names[i])
 
     @property
     def nvars(self):
@@ -55,19 +46,8 @@ class RingContext:
     def pic_rank(self):
         return len(self.grading)
 
-    def weight(self, i):
-        """Heft weight of variable ``i`` (1 in the ungraded case)."""
-        if not self.grading:
-            return 1
-        return sum(h * row[i] for h, row in zip(self.heft, self.grading))
-
     def degree_of_variable(self, i):
         return tuple(row[i] for row in self.grading)
-
-
-def ungraded_context(names):
-    """Ring context for an affine (ungraded) polynomial ring."""
-    return RingContext(names=tuple(names), grading=(), heft=())
 
 
 # --- monomial orders -------------------------------------------------------
@@ -157,8 +137,8 @@ class Polynomial:
         return cls(nvars, {tuple(e): 1})
 
     @classmethod
-    def from_monomial(cls, m, c=1):
-        return cls(len(m), {tuple(m): c})
+    def from_monomial(cls, m):
+        return cls(len(m), {tuple(m): 1})
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -214,9 +194,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n by repeated squaring: about 2 log2(n) products."""
         result = Polynomial.constant(self.nvars, 1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n > 0:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def _coerce(self, other):
@@ -297,7 +283,7 @@ def monomials_of_degree(delta, ctx):
     4.3): with e0 one integer solution of grading . e == delta and the
     columns of K a Z-basis of the grading's integer kernel, from its Smith
     form, they are the points e0 + K m >= 0, and Fourier-Motzkin lists the
-    m.  Finite because the heft weights are positive.
+    m.  Finite because the grading has a heft (``fan.find_heft``).
     """
     grading = [list(row) for row in ctx.grading]
     e0 = linalg.solve_integer(grading, delta)

@@ -4,8 +4,8 @@ A fan is given by its primitive ray generators and its maximal cones (index
 sets).  Validation certifies smoothness (every maximal cone unimodular) and
 completeness (every wall relation is integral, see ``wall_relations``); the
 grading matrix is the cokernel projection of the ray matrix, computed by
-Smith normal form and canonicalized by row Hermite form, together with a
-heft vector found by exact linear feasibility.
+Smith normal form and canonicalized by row Hermite form; a heft vector,
+found by exact linear feasibility, certifies that the grading is positive.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from math import gcd, prod
 from . import linalg
 from .errors import (InvalidFan, InvalidGrading, NoPositiveGrading,
                      NotComplete, NotSmooth)
-from .exactpoly import RingContext, ungraded_context
-from .groebner import MultigradedIdeal
+from .exactpoly import GrevLex, RingContext
+from .groebner import Ideal
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,8 @@ class CoxContext:
 
 def build_cox_context(fan, names=None, degrees=None):
     """Cox ring of the fan: grading (canonical or user-supplied after
-    validation) and its heft."""
+    validation).  Raises NoPositiveGrading when the grading has no
+    heft."""
     r = fan.nrays
     if names is None:
         names = tuple("z%d" % i for i in range(r))
@@ -243,20 +244,20 @@ def build_cox_context(fan, names=None, degrees=None):
         a = grading_matrix(fan)
     else:
         a = validate_degree_matrix(fan, degrees)
-    ring = RingContext(names=names, grading=a, heft=find_heft(a))
-    return CoxContext(ring=ring, fan=fan)
+    find_heft(a)
+    return CoxContext(ring=RingContext(names=names, grading=a), fan=fan)
 
 
 def chart_dehomogenize(gens, cox):
     """The ideals of the Cox-ring polynomials ``gens`` on the charts of the
     maximal cones, in cone order: every off-chart variable is set to 1,
     and the ring of a chart has the rays of its cone as variables, in
-    index order."""
+    index order, ordered by grevlex."""
     names, fan = cox.ring.names, cox.fan
     out = []
     for cone in fan.max_cones:
         off = fan.cone_complement(cone)
-        out.append(MultigradedIdeal.create(
-            [g.set_to_one(off) for g in gens],
-            ungraded_context([names[i] for i in cone])))
+        out.append(Ideal.create([g.set_to_one(off) for g in gens],
+                                [names[i] for i in cone],
+                                GrevLex(range(len(cone)))))
     return tuple(out)

@@ -11,9 +11,11 @@ each term once by ``order.key`` (ascending keys list the leading monomial
 first) and pops its leads from a heap, so remainders come out in
 decreasing order; a basis stores its leads.
 
-A basis is computed where its ideal is made and cached on it per order:
-``groebner_basis`` on first query, ``GroebnerBasis.extend`` from the basis
-it extends, ``saturate_ideal`` from its elimination.
+An ideal is its generators, its variable names and one monomial order,
+and it holds its one reduced basis for that order.  The basis is computed
+where the ideal is made: ``Ideal.extend`` from the basis it extends,
+``saturate_ideal`` from its elimination, and ``groebner_basis`` on the
+first query of any other ideal.
 
 Saturation is one elimination with a new variable y_i per generator g_i
 of J:  (I : J^inf) = (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
@@ -30,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import NonIntegerCoefficient, NotZeroDimensional
-from .exactpoly import BlockOrder, GrevLex, Polynomial, RingContext
+from .exactpoly import BlockOrder, GrevLex, Polynomial
 
 # --- coefficient-dict helpers (exponent tuple -> int) ----------------------
 
@@ -252,26 +254,40 @@ def _buchberger(gens, order, known=()):
 # --- public types ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class MultigradedIdeal:
-    """An ideal given by its generators in the ring of ``ctx``.
+class Ideal:
+    """An ideal given by its generators, the names of its ring's variables
+    and the monomial order of its one reduced basis, ``_basis``.
 
-    It carries no degrees, and its bases read no grading: the Cox-ring
-    input is graded once, by ``segre.preprocess``.
+    It carries no degrees: the Cox-ring input is graded once, by
+    ``segre.preprocess``.  ``extend`` and ``saturate_ideal`` make their
+    ideals with the basis; ``groebner_basis`` computes it for any other.
     """
 
     generators: tuple
-    ctx: RingContext
-    _cache: dict = field(default_factory=dict, compare=False, repr=False,
-                         hash=False)
+    names: tuple
+    order: object
+    _basis: object = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def create(cls, gens, ctx):
+    def create(cls, gens, names, order):
         """Build an ideal, dropping zero generators."""
         return cls(generators=tuple(g for g in gens if not g.is_zero()),
-                   ctx=ctx)
+                   names=tuple(names), order=order)
 
-    def default_order(self):
-        return GrevLex(range(self.ctx.nvars))
+    @property
+    def nvars(self):
+        return len(self.names)
+
+    def extend(self, gens):
+        """The ideal of this one's basis elements and ``gens``, made with
+        its basis, which is computed from this one's: Buchberger queues no
+        S-pair of two of these elements."""
+        gens = tuple(g for g in gens if not g.is_zero())
+        G = groebner_basis(self)
+        known = list(zip(G.leads, [g.coeffs for g in G.elements]))
+        basis = _buchberger([g.coeffs for g in gens], self.order, known)
+        return Ideal(G.elements + gens, self.names, self.order,
+                     _reduced_basis(self.nvars, self.order, basis))
 
 
 @dataclass(frozen=True)
@@ -283,41 +299,24 @@ class GroebnerBasis:
     elements: tuple
     leads: tuple
     order: object
-    ctx: RingContext
-
-    def extend(self, gens):
-        """The ideal of these elements and ``gens``, with its basis for
-        this order already computed from this one: Buchberger queues no
-        S-pair of two of these elements."""
-        gens = tuple(g for g in gens if not g.is_zero())
-        I = MultigradedIdeal(generators=self.elements + gens, ctx=self.ctx)
-        known = list(zip(self.leads, [g.coeffs for g in self.elements]))
-        _store(I, self.order,
-               _buchberger([g.coeffs for g in gens], self.order, known))
-        return I
 
 
-def _store(I, order, basis):
-    """Cache ``basis``, a list of (lead, element) pairs, as the reduced
-    basis of ``I`` for ``order``, and return it."""
-    gb = GroebnerBasis(
-        elements=tuple(Polynomial(I.ctx.nvars, p) for _lm, p in basis),
-        leads=tuple(lm for lm, _p in basis), order=order, ctx=I.ctx)
-    # the repr of an order names every field that defines it
-    I._cache[repr(order)] = gb
-    return gb
+def _reduced_basis(nvars, order, basis):
+    """The GroebnerBasis of ``basis``, a list of (lead, element) pairs."""
+    return GroebnerBasis(
+        elements=tuple(Polynomial(nvars, p) for _lm, p in basis),
+        leads=tuple(lm for lm, _p in basis), order=order)
 
 
-def groebner_basis(I, order=None):
-    """Reduced Groebner basis of ``I`` for the given (default grevlex)
-    monomial order."""
-    if order is None:
-        order = I.default_order()
-    hit = I._cache.get(repr(order))
-    if hit is not None:
-        return hit
-    return _store(I, order,
-                  _buchberger([g.coeffs for g in I.generators], order))
+def groebner_basis(I):
+    """Reduced Groebner basis of ``I`` for its order, computed on the
+    first query."""
+    if I._basis is None:
+        # the one slot a frozen ideal fills after it is made
+        object.__setattr__(I, "_basis", _reduced_basis(
+            I.nvars, I.order,
+            _buchberger([g.coeffs for g in I.generators], I.order)))
+    return I._basis
 
 
 def normal_form(f, G):
@@ -376,8 +375,8 @@ def saturate_ideal(I, J):
     """(I : J^inf) for J = (g_1, ..., g_m), as the one elimination
     (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
 
-    The eliminated basis is the result's reduced basis for its default
-    order, so it goes into the result's cache."""
+    The eliminated basis is the result's reduced basis for grevlex on
+    k[x], so the result is made with it."""
     if not J.generators:
         raise ValueError("cannot saturate by the zero ideal")
     raws = [g.coeffs for g in J.generators]
@@ -386,17 +385,17 @@ def saturate_ideal(I, J):
     n = len(raws)
     pad = (0,) * n
     ext = [{m + pad: c for m, c in g.coeffs.items()} for g in I.generators]
-    rab = {(0,) * I.ctx.nvars + pad: 1}
+    rab = {(0,) * I.nvars + pad: 1}
     for i, p in enumerate(raws):
         tag = pad[:i] + (1,) + pad[i + 1:]
         for m, c in p.items():
             rab[m + tag] = -c
     ext.append(rab)
-    raw = _eliminate_extra_raw(ext, I.ctx.nvars, n)
-    S = MultigradedIdeal.create([Polynomial(I.ctx.nvars, p) for p in raw],
-                                I.ctx)
-    _store(S, S.default_order(), [(next(iter(p)), p) for p in raw])
-    return S
+    raw = _eliminate_extra_raw(ext, I.nvars, n)
+    order = GrevLex(range(I.nvars))
+    return Ideal(tuple(Polynomial(I.nvars, p) for p in raw), I.names, order,
+                 _reduced_basis(I.nvars, order,
+                                [(next(iter(p)), p) for p in raw]))
 
 
 # --- dimensions ------------------------------------------------------------
@@ -407,12 +406,12 @@ def krull_dimension(I):
     support."""
     G = groebner_basis(I)
     if not G.elements:
-        return I.ctx.nvars
+        return I.nvars
     lms = G.leads
     if any(max(m) == 0 for m in lms):
         return None
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
-    r = I.ctx.nvars
+    r = I.nvars
     best = 0
     for size in range(r, 0, -1):
         if size <= best:
@@ -437,13 +436,13 @@ def vector_space_dimension(I):
     lms = G.leads
     if any(max(m) == 0 for m in lms):
         return 0
-    r = I.ctx.nvars
+    r = I.nvars
     for i in range(r):
         if not any(all(e == 0 for j, e in enumerate(m) if j != i)
                    for m in lms):
             raise NotZeroDimensional(
                 "variable %s is not nilpotent modulo the lead-term ideal"
-                % I.ctx.names[i])
+                % I.names[i])
     count = 0
     stack = [((0,) * r, 0)]
     while stack:

@@ -34,7 +34,11 @@ class _Scanner:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            self.kind, self.value = "int", int(text[i:j])
+            try:
+                self.kind, self.value = "int", int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("integer literal of %d digits is too long"
+                                 % (j - i), offset=i) from None
             i = j
         elif text[i].isalpha() or text[i] == "_":
             j = i

@@ -34,8 +34,7 @@ from .errors import (DimensionFailure, EmptySubscheme, InconsistentSystem,
 from .exactpoly import (Polynomial, monomials_of_total_degree,
                         multidegree_of, random_homogeneous)
 from .fan import chart_dehomogenize
-from .groebner import (groebner_basis, krull_dimension, saturate_ideal,
-                       vector_space_dimension)
+from .groebner import krull_dimension, saturate_ideal, vector_space_dimension
 
 # Random coefficients are drawn from +-[1, DEFAULT_COEFF_BOUND].  A draw
 # whose sections meet Z non-transversally at the top codimension is not
@@ -172,7 +171,7 @@ def zero_dim_length(charts, cox):
             Polynomial.from_monomial(tuple(0 if i in s else v
                                            for i in cones[t]))
             for s in cones[:t])
-        total += vector_space_dimension(groebner_basis(J).extend(earlier))
+        total += vector_space_dimension(J.extend(earlier))
     return total
 
 
@@ -247,8 +246,8 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
                                                cox.ring))
         cut_charts = chart_dehomogenize(cuts, cox)
         gamma = zero_dim_length(
-            tuple(groebner_basis(R).extend(C.generators)
-                  for R, C in zip(I_R, cut_charts)), cox)
+            tuple(R.extend(C.generators) for R, C in zip(I_R, cut_charts)),
+            cox)
         gammas.append(gamma)
     sol = linalg.solve_linear_system(rows, gammas)
     if sol is None:

@@ -8,10 +8,17 @@ from math import gcd
 
 from toricsegre import linalg
 from toricsegre.errors import NonIntegerCoefficient, NotComplete, NotSmooth
-from toricsegre.exactpoly import Polynomial, ungraded_context
-from toricsegre.groebner import (MultigradedIdeal, _eliminate_extra_raw,
+from toricsegre.exactpoly import GrevLex, Polynomial
+from toricsegre.fan import find_heft
+from toricsegre.groebner import (Ideal, _eliminate_extra_raw,
                                  _monomial_divides, _monomial_mul, _primitive,
                                  groebner_basis, saturate_ideal)
+
+
+def grevlex_ideal(gens, names):
+    """The ideal of ``gens`` in the variables ``names``, ordered by
+    grevlex in variable order, as the chart ideals are."""
+    return Ideal.create(gens, names, GrevLex(range(len(names))))
 
 
 def _det(rows):
@@ -88,13 +95,13 @@ def validate_by_facet_normals(fan):
     return True
 
 
-def chow_ideal_by_solved_forms(cox, pivot_cone):
-    """The Chow ideal as ``chow.build_chow_ring`` built it for each pivot
-    cone before it took the raw lattice relations: the Stanley-Reisner
-    monomials plus, for each l, the relation sum_i <m_l, u_i> D_i of the
-    dual basis vector m_l of the pivot cone's rays (the integer solution of
-    <m_l, u_j> = delta_jl over the rays u_j of the cone), which solves the
-    relations for the cone's divisors."""
+def chow_ideal_by_solved_forms(cox, pivot_cone, order):
+    """The Chow ideal for ``order`` as ``chow.build_chow_ring`` built it
+    for each pivot cone before it took the raw lattice relations: the
+    Stanley-Reisner monomials plus, for each l, the relation
+    sum_i <m_l, u_i> D_i of the dual basis vector m_l of the pivot cone's
+    rays (the integer solution of <m_l, u_j> = delta_jl over the rays u_j
+    of the cone), which solves the relations for the cone's divisors."""
     fan = cox.fan
     r, k = fan.nrays, fan.dim
     gens = []
@@ -111,8 +118,7 @@ def chow_ideal_by_solved_forms(cox, pivot_cone):
             if c:
                 lin = lin + Polynomial.variable(r, i) * c
         gens.append(lin)
-    return MultigradedIdeal.create(
-        gens, ungraded_context("D%s" % n for n in cox.ring.names))
+    return Ideal.create(gens, ("D%s" % n for n in cox.ring.names), order)
 
 
 def irrelevant_ideal(cox):
@@ -125,7 +131,7 @@ def irrelevant_ideal(cox):
         for i in fan.cone_complement(cone):
             e[i] = 1
         gens.append(Polynomial.from_monomial(tuple(e)))
-    return MultigradedIdeal.create(gens, cox.ring)
+    return grevlex_ideal(gens, cox.ring.names)
 
 
 def intersect(I, J):
@@ -138,15 +144,16 @@ def intersect(I, J):
         for m, c in g.coeffs.items():
             q[m + (1,)] = -c
         ext.append(q)
-    n = I.ctx.nvars
-    return MultigradedIdeal.create(
-        [Polynomial(n, p) for p in _eliminate_extra_raw(ext, n, 1)], I.ctx)
+    n = I.nvars
+    return Ideal.create(
+        [Polynomial(n, p) for p in _eliminate_extra_raw(ext, n, 1)], I.names,
+        I.order)
 
 
 def saturate_by_intersection(I, J):
     """(I : J^inf) as the intersection of the element saturations
     (I : g^inf) over the generators g of J."""
-    parts = [saturate_ideal(I, MultigradedIdeal.create([g], J.ctx))
+    parts = [saturate_ideal(I, Ideal.create([g], J.names, J.order))
              for g in J.generators]
     acc = parts[0]
     for nxt in parts[1:]:
@@ -160,10 +167,12 @@ def monomials_by_heft_walk(delta, ctx):
     simplex: each exponent is bounded by the residual heft of delta."""
     delta = tuple(delta)
     r = ctx.nvars
-    budget = sum(h * d for h, d in zip(ctx.heft, delta))
+    heft = find_heft(ctx.grading)
+    budget = sum(h * d for h, d in zip(heft, delta))
     if budget < 0:
         return []
-    weights = [ctx.weight(i) for i in range(r)]
+    weights = [sum(h * row[i] for h, row in zip(heft, ctx.grading))
+               for i in range(r)]
     cols = [ctx.degree_of_variable(i) for i in range(r)]
     out = []
     e = [0] * r
@@ -273,6 +282,6 @@ def vector_space_dimension_by_box(I):
         return 0
     bounds = [min(m[i] for m in lms
                   if all(e == 0 for j, e in enumerate(m) if j != i))
-              for i in range(I.ctx.nvars)]
+              for i in range(I.nvars)]
     return sum(1 for m in itertools.product(*(range(b) for b in bounds))
                if not any(_monomial_divides(lm, m) for lm in lms))

@@ -15,7 +15,7 @@ from toricsegre.cones import curve_functionals, is_nef
 from toricsegre.exactpoly import (Polynomial, multidegree_of,
                                   random_homogeneous)
 from toricsegre.fan import chart_dehomogenize
-from toricsegre.groebner import MultigradedIdeal, saturate_ideal
+from toricsegre.groebner import saturate_ideal
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
@@ -23,7 +23,7 @@ from toricsegre.segre import preprocess, segre_class, zero_dim_length
 from toricsegre import linalg
 
 from _fans import fan_library
-from _oracles import intersect, irrelevant_ideal
+from _oracles import grevlex_ideal, intersect, irrelevant_ideal
 
 SEEDS = (0, 1, 2)
 
@@ -274,7 +274,7 @@ def test_criterion_8_length_oracle(example1, example2, capsys):
                     total += 3  # colength of m^2 for a smooth surface point
                 else:
                     total += 1
-                I = MultigradedIdeal.create(gens, cox.ring)
+                I = grevlex_ideal(gens, cox.ring.names)
                 ideal = I if ideal is None else intersect(ideal, I)
             ideal = saturate_ideal(ideal, irrelevant_ideal(cox))
             charts = chart_dehomogenize(ideal.generators, cox)

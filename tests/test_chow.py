@@ -165,10 +165,10 @@ def chow_ring_by_solved_forms(cox):
     on that cone's ideal."""
     last_error = None
     for cone in cox.fan.max_cones:
-        ideal = chow_ideal_by_solved_forms(cox, cone)
         for perm in itertools.permutations(cox.fan.cone_complement(cone)):
             try:
-                return _assemble(cox, ideal, GrevLex(cone + perm))
+                return _assemble(cox, chow_ideal_by_solved_forms(
+                    cox, cone, GrevLex(cone + perm)))
             except (RankMismatch, NormalizationInconsistent) as exc:
                 last_error = exc
     raise last_error

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,8 @@ from toricsegre import cli
 from toricsegre.chow import build_chow_ring
 from toricsegre.errors import InputError, ToricSegreError
 from toricsegre.library import projective_space
+
+from test_segre import time_limit
 
 F1_DOC = {
     "rays": [[1, 0], [-1, 1], [0, -1], [0, 1]],
@@ -172,6 +175,32 @@ def test_parse_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "E_PARSE" in err
+
+
+def test_overlong_integer_literal_exit_code(tmp_path, capsys):
+    """A coefficient past int()'s digit limit (Python 3.11 and later)
+    exits 2 with E_PARSE, not with a traceback."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() has no digit limit on this Python")
+    doc = dict(F1_DOC, ideal=["%s*x0" % ("7" * (limit + 1))])
+    rc = cli.main(["--input", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "E_PARSE" in err
+
+
+def test_large_exponent_within_5_s(tmp_path, capsys):
+    """V(z0^100000000) on P2: the power is taken by repeated squaring,
+    so parsing it does not run 10^8 products."""
+    doc = {"rays": [[1, 0], [0, 1], [-1, -1]],
+           "max_cones": [[0, 1], [1, 2], [0, 2]],
+           "ideal": ["z0^100000000"]}
+    with time_limit(5, "z0^100000000 on P2"):
+        rc = cli.main(["--input", write_doc(tmp_path, doc)])
+    assert rc == 0
+    assert ("s(Z,X) = -10000000000000000*Dz2^2 + 100000000*Dz2"
+            in capsys.readouterr().out)
 
 
 def test_inhomogeneous_generator_reports_degrees(tmp_path, capsys):

@@ -12,17 +12,17 @@ from toricsegre.errors import NotHomogeneous
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
                                   RingContext, monomials_of_degree,
                                   monomials_of_total_degree, multidegree_of,
-                                  random_homogeneous, ungraded_context)
+                                  random_homogeneous)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 
 from _oracles import monomials_by_heft_walk
 from test_cones import EIGHT_RAYS, FIVE_RAYS, cyclic_surface
 
-CTX2 = RingContext(names=("x", "y", "z"), grading=((1, 1, 1),), heft=(1,))
+CTX2 = RingContext(names=("x", "y", "z"), grading=((1, 1, 1),))
 # P1 x P1 style bigrading
 CTXB = RingContext(names=("x0", "x1", "y0", "y1"),
-                   grading=((1, 1, 0, 0), (0, 0, 1, 1)), heft=(1, 1))
+                   grading=((1, 1, 0, 0), (0, 0, 1, 1)))
 
 
 def polys(nvars=3, max_exp=3, max_size=5):
@@ -75,6 +75,16 @@ def test_ring_axioms(f, g, h):
     assert f * (g + h) == f * g + f * h
     assert f - f == Polynomial.zero(3)
     assert f * Polynomial.constant(3, 1) == f
+
+
+@given(polys(max_exp=2, max_size=3), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_power_is_repeated_product(p, n):
+    """Repeated squaring gives the n-fold product."""
+    product = Polynomial.constant(3, 1)
+    for _ in range(n):
+        product = product * p
+    assert p ** n == product
 
 
 def test_formatting():
@@ -183,9 +193,3 @@ def test_sorting_by_key_lists_the_leading_monomial_first(data):
     ranked = sorted(monos, key=order.key)
     assert all(leads(a, b, order) for a, b in zip(ranked, ranked[1:]))
 
-
-def test_ungraded_context():
-    ctx = ungraded_context(("a", "b"))
-    assert ctx.nvars == 2
-    assert multidegree_of(Polynomial.variable(2, 0) +
-                          Polynomial.variable(2, 1) ** 3, ctx) == ()

@@ -258,6 +258,6 @@ def test_chart_dehomogenize_drops_off_chart_vars():
     charts = chart_dehomogenize([x0 * x0 - x1 * x1], cox)
     assert len(charts) == len(cox.fan.max_cones)
     for J in charts:
-        assert J.ctx.nvars == 2
+        assert J.nvars == 2
         for g in J.generators:
             assert not g.is_zero()

@@ -13,40 +13,43 @@ from hypothesis import strategies as st
 from toricsegre import groebner
 from toricsegre.errors import NonIntegerCoefficient, NotZeroDimensional
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
-                                  monomials_of_degree, random_homogeneous,
-                                  ungraded_context)
-from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
-                                 krull_dimension, normal_form, saturate_ideal,
+                                  RingContext, monomials_of_degree,
+                                  random_homogeneous)
+from toricsegre.groebner import (Ideal, groebner_basis, krull_dimension,
+                                 normal_form, saturate_ideal,
                                  vector_space_dimension)
 from toricsegre.library import hirzebruch
 
 from _fans import fan_library
-from _oracles import (intersect, irrelevant_ideal, normal_form_by_scan,
-                      reduce_by_scan, vector_space_dimension_by_box)
+from _oracles import (grevlex_ideal, intersect, irrelevant_ideal,
+                      normal_form_by_scan, reduce_by_scan,
+                      vector_space_dimension_by_box)
 from test_exactpoly import leads, orders, polys
 from test_segre import time_limit
 
-XY = ungraded_context(("x", "y"))
-XYZ = ungraded_context(("x", "y", "z"))
+XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
-def var(ctx, i):
-    return Polynomial.variable(ctx.nvars, i)
+def var(names, i):
+    return Polynomial.variable(len(names), i)
 
 
-def ideal(ctx, *gens):
-    return MultigradedIdeal.create(list(gens), ctx)
+def ideal(names, *gens, order=None):
+    """The ideal of ``gens`` for ``order``, by default grevlex in
+    variable order."""
+    return Ideal.create(gens, names, order or GrevLex(range(len(names))))
 
 
-def same_ideal(I, J, order=None):
-    """Ideal equality via the canonical reduced bases."""
-    return (groebner_basis(I, order).elements
-            == groebner_basis(J, order).elements)
+def same_ideal(I, J):
+    """Equality of two ideals of one order via the canonical reduced
+    bases."""
+    return groebner_basis(I).elements == groebner_basis(J).elements
 
 
-def in_ideal(f, I, order=None):
+def in_ideal(f, I):
     """f lies in I exactly when adding it leaves the reduced basis as is."""
-    return same_ideal(ideal(I.ctx, *I.generators, f), I, order)
+    return same_ideal(ideal(I.names, *I.generators, f, order=I.order), I)
 
 
 def test_membership_oracle():
@@ -81,10 +84,10 @@ def test_unit_ideal():
 
 def test_eliminate_twisted_parabola():
     t, x, y = var(XYZ, 0), var(XYZ, 1), var(XYZ, 2)
-    I = ideal(XYZ, x - t, y - t * t)
     # a block order with t in front: the t-free basis elements generate
     # the elimination ideal, which stays in the full ring
-    G = groebner_basis(I, BlockOrder((0,), XYZ.nvars))
+    G = groebner_basis(ideal(XYZ, x - t, y - t * t,
+                             order=BlockOrder((0,), len(XYZ))))
     t_free = [g for g in G.elements if all(m[0] == 0 for m in g.coeffs)]
     assert same_ideal(ideal(XYZ, *t_free), ideal(XYZ, y - x * x))
 
@@ -148,21 +151,21 @@ def test_vector_space_dimension_matches_box_oracle(data):
     """Random Artinian ideals: pure powers of every variable plus a few
     random polynomials.  The walk counts what the box scan counts."""
     nvars = data.draw(st.integers(1, 3))
-    ctx = ungraded_context("xyz"[:nvars])
-    powers = [var(ctx, i) ** data.draw(st.integers(1, 5))
+    names = "xyz"[:nvars]
+    powers = [var(names, i) ** data.draw(st.integers(1, 5))
               for i in range(nvars)]
     extra = data.draw(st.lists(polys(nvars, max_exp=3, max_size=3),
                                max_size=3))
-    I = ideal(ctx, *powers, *extra)
+    I = ideal(names, *powers, *extra)
     assert vector_space_dimension(I) == vector_space_dimension_by_box(I)
 
 
 def test_vector_space_dimension_of_a_large_box_within_2_s():
     """x_i^30 and every x_i x_j in 6 variables: the box below the pure
     powers holds 30^6 > 10^8 monomials, the quotient 1 + 6 * 29."""
-    ctx = ungraded_context("abcdef")
-    xs = [var(ctx, i) for i in range(6)]
-    I = ideal(ctx, *(x ** 30 for x in xs),
+    names = "abcdef"
+    xs = [var(names, i) for i in range(6)]
+    I = ideal(names, *(x ** 30 for x in xs),
               *(xs[i] * xs[j] for i in range(6) for j in range(i + 1, 6)))
     with time_limit(2, "the 30^6 box"):
         assert vector_space_dimension(I) == 175
@@ -181,10 +184,8 @@ def _to_sympy(f, syms):
 def test_membership_against_sympy():
     rng = random.Random(20260823)
     syms = sympy.symbols("x y")
-    monos = list(monomials_of_degree((3,),
-                                     type(XY)(names=("x", "y"),
-                                              grading=((1, 1),),
-                                              heft=(1,))))
+    monos = list(monomials_of_degree((3,), RingContext(names=XY,
+                                                       grading=((1, 1),))))
     for trial in range(8):
         gens = []
         for _ in range(2):
@@ -192,7 +193,7 @@ def test_membership_against_sympy():
             for m in monos:
                 c = rng.randint(-3, 3)
                 if c:
-                    f = f + Polynomial.from_monomial(m, c)
+                    f = f + Polynomial(2, {m: c})
             if not f.is_zero():
                 gens.append(f)
         if not gens:
@@ -204,7 +205,7 @@ def test_membership_against_sympy():
             for m in monos:
                 c = rng.randint(-2, 2)
                 if c:
-                    f = f + Polynomial.from_monomial(m, c)
+                    f = f + Polynomial(2, {m: c})
             ours = in_ideal(f, I)
             theirs = sympy.reduced(
                 _to_sympy(f, syms),
@@ -230,23 +231,32 @@ def test_vsdim_against_sympy():
 
 def test_groebner_respects_order_argument():
     x, y = var(XY, 0), var(XY, 1)
-    I = ideal(XY, x * x - y, y * y - x)
     for order in (GrevLex((0, 1)), GrevLex((1, 0))):
-        assert in_ideal(x ** 4 - x, I, order)
-        assert not in_ideal(x - y, I, order)
+        I = ideal(XY, x * x - y, y * y - x, order=order)
+        assert in_ideal(x ** 4 - x, I)
+        assert not in_ideal(x - y, I)
 
 
-def test_groebner_cache_tells_block_orders_apart():
-    # ring (t, x, y): two block orders, with t and with y in front
+def test_block_orders_give_their_own_bases():
+    # ring (t, x, y): one ideal per block order, with t and with y in front
     t, x, y = var(XYZ, 0), var(XYZ, 1), var(XYZ, 2)
     gens = (t * x - y, x ** 3 - y * y)
-    I = ideal(XYZ, *gens)
-    t_front = groebner_basis(I, BlockOrder((0,), 3))
-    y_front = BlockOrder((2,), 3)
-    assert (groebner_basis(I, y_front).elements
-            == groebner_basis(ideal(XYZ, *gens), y_front).elements)
-    assert groebner_basis(I, y_front).leads == ((0, 0, 1), (2, 2, 0))
+    t_front = groebner_basis(ideal(XYZ, *gens, order=BlockOrder((0,), 3)))
+    y_front = groebner_basis(ideal(XYZ, *gens, order=BlockOrder((2,), 3)))
+    assert y_front.leads == ((0, 0, 1), (2, 2, 0))
     assert len(t_front.elements) == 3
+
+
+def test_basis_is_computed_once():
+    """The first query computes the basis and every later one returns
+    it, with no Buchberger run."""
+    x, y = var(XY, 0), var(XY, 1)
+    I = ideal(XY, x * x - y, y * y - x)
+    G = groebner_basis(I)
+    with mock.patch.object(groebner, "_buchberger",
+                           wraps=groebner._buchberger) as spy:
+        assert groebner_basis(I) is G
+    assert spy.call_count == 0
 
 
 def _terms_or_error(fn, f, G):
@@ -285,8 +295,7 @@ def test_heap_reduction_matches_scan_oracle(data):
     assert ([(lm, list(p.items())) for lm, p in by_heap]
             == [(lm, list(p.items())) for lm, p in by_scan])
 
-    ctx = ungraded_context("xyz"[:nvars])
-    G = groebner_basis(ideal(ctx, *gens), order)
+    G = groebner_basis(ideal("xyz"[:nvars], *gens, order=order))
     for g, lm in zip(G.elements, G.leads):
         assert all(leads(lm, m, order) for m in g.coeffs if m != lm)
     for f in data.draw(st.lists(polys(nvars), min_size=1, max_size=4)):
@@ -303,18 +312,31 @@ def test_extended_basis_matches_fresh_basis(data):
     has computed it already, so the query runs no Buchberger."""
     nvars = data.draw(st.integers(2, 3))
     order = data.draw(orders(nvars))
-    ctx = ungraded_context("xyz"[:nvars])
+    names = "xyz"[:nvars]
     first, more = (data.draw(st.lists(polys(nvars, max_exp=2, max_size=3),
                                       min_size=1, max_size=3))
                    for _ in range(2))
-    ext = groebner_basis(ideal(ctx, *first), order).extend(more)
+    ext = ideal(names, *first, order=order).extend(more)
     with mock.patch.object(groebner, "_buchberger",
                            wraps=groebner._buchberger) as spy:
-        extended = groebner_basis(ext, order)
+        extended = groebner_basis(ext)
     assert spy.call_count == 0
-    fresh = groebner_basis(ideal(ctx, *first, *more), order)
+    fresh = groebner_basis(ideal(names, *first, *more, order=order))
     assert extended.elements == fresh.elements
     assert extended.leads == fresh.leads
+
+
+def test_extend_basis_is_a_fresh_basis_of_its_generators():
+    """The basis ``extend`` makes its ideal with is the one a new ideal
+    of the same generators and order computes."""
+    x, y, z = var(XYZ, 0), var(XYZ, 1), var(XYZ, 2)
+    for order in (GrevLex((0, 1, 2)), GrevLex((2, 0, 1)),
+                  BlockOrder((1,), 3)):
+        ext = ideal(XYZ, x * x - y * z, y ** 3 - x,
+                    order=order).extend([x * y - z, z ** 2])
+        fresh = groebner_basis(ideal(XYZ, *ext.generators, order=order))
+        assert groebner_basis(ext).elements == fresh.elements
+        assert groebner_basis(ext).leads == fresh.leads
 
 
 def _saturations():
@@ -325,28 +347,32 @@ def _saturations():
     yield ideal(XY, x * (x + y)), ideal(XY, x, y)
     yield ideal(XY, x * x * y, x * y * y), ideal(XY, x)
     rng = random.Random(0)
-    for ctx in (XY, XYZ) * 6:
+    for names in (XY, XYZ) * 6:
         def rand():
-            return Polynomial(ctx.nvars, {
-                tuple(rng.randint(0, 2) for _ in range(ctx.nvars)):
+            return Polynomial(len(names), {
+                tuple(rng.randint(0, 2) for _ in range(len(names))):
                     rng.randint(-3, 3) for _ in range(3)})
-        yield (ideal(ctx, *(rand() for _ in range(2))),
-               ideal(ctx, *(rand() for _ in range(rng.randint(1, 2)))))
-    ring = hirzebruch(1).ring
-    x0, x1, y0, y1 = (var(ring, i) for i in range(4))
-    yield (MultigradedIdeal.create([x0 * y1, x1 * y1 * x0 - y0 * x0], ring),
-           MultigradedIdeal.create([x0, y1], ring))
+        yield (ideal(names, *(rand() for _ in range(2))),
+               ideal(names, *(rand() for _ in range(rng.randint(1, 2)))))
+    names = hirzebruch(1).ring.names
+    x0, x1, y0, y1 = (var(names, i) for i in range(4))
+    yield (ideal(names, x0 * y1, x1 * y1 * x0 - y0 * x0),
+           ideal(names, x0, y1))
 
 
 def test_saturation_seeds_its_reduced_basis():
-    """The basis ``saturate_ideal`` stores from the elimination is the one
-    Buchberger computes from the saturation's generators."""
+    """The basis ``saturate_ideal`` makes its ideal with, from the
+    elimination, is the one Buchberger computes from the saturation's
+    generators."""
     for I, J in _saturations():
         S = saturate_ideal(I, J)
         if S is I:
             continue
-        seeded = S._cache[repr(S.default_order())]
-        fresh = groebner_basis(MultigradedIdeal.create(S.generators, S.ctx))
+        with mock.patch.object(groebner, "_buchberger",
+                               wraps=groebner._buchberger) as spy:
+            seeded = groebner_basis(S)
+        assert spy.call_count == 0
+        fresh = groebner_basis(ideal(S.names, *S.generators, order=S.order))
         assert seeded.elements == fresh.elements
         assert seeded.leads == fresh.leads
 
@@ -361,7 +387,7 @@ def _random_ideal(data, ring, rng, max_size):
         delta = tuple(map(sum, zip(*(ring.degree_of_variable(i)
                                      for i in vs))))
         gens.append(random_homogeneous(delta, rng, 5, ring))
-    return MultigradedIdeal.create(gens, ring)
+    return grevlex_ideal(gens, ring.names)
 
 
 @given(st.data())
@@ -400,10 +426,11 @@ def test_saturation_basis_is_multihomogeneous(data):
 
 def test_extend_grades_its_ideal_like_create():
     """``extend`` builds its ideal as ``create`` does: the basis elements,
-    then the new generators with the zero ones dropped."""
-    ring = hirzebruch(1).ring
-    x0, x1, y0, y1 = (var(ring, i) for i in range(4))
-    G = groebner_basis(MultigradedIdeal.create(
-        [x0 * y1, x1 * y1 * x0 - y0 * x0], ring))
-    ext = G.extend([x1 * x1 * y1, Polynomial(ring.nvars, {})])
-    assert ext.generators == G.elements + (x1 * x1 * y1,)
+    then the new generators with the zero ones dropped, in the same
+    variables and order."""
+    names = hirzebruch(1).ring.names
+    x0, x1, y0, y1 = (var(names, i) for i in range(4))
+    I = ideal(names, x0 * y1, x1 * y1 * x0 - y0 * x0)
+    ext = I.extend([x1 * x1 * y1, Polynomial(len(names), {})])
+    assert ext.generators == groebner_basis(I).elements + (x1 * x1 * y1,)
+    assert (ext.names, ext.order) == (I.names, I.order)

@@ -1,5 +1,7 @@
 """Polynomial string parser: grammar coverage and positional errors."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,10 @@ from toricsegre.exactpoly import Polynomial, RingContext, multidegree_of
 from toricsegre.parser import parse_polynomial
 
 F1 = RingContext(names=("x0", "x1", "y0", "y1"),
-                 grading=((1, 1, 1, 0), (0, 0, 1, 1)), heft=(1, 1))
+                 grading=((1, 1, 1, 0), (0, 0, 1, 1)))
 P13 = RingContext(names=("x0", "x1", "y0", "y1", "z0", "z1"),
                   grading=((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0),
-                           (0, 0, 0, 0, 1, 1)), heft=(1, 1, 1))
+                           (0, 0, 0, 0, 1, 1)))
 
 
 def test_example_generator_f1():
@@ -86,6 +88,18 @@ def test_garbage_character():
     with pytest.raises(ParseError) as exc:
         parse_polynomial("x0 $ x1", F1)
     assert exc.value.details["offset"] == 3
+
+
+
+def test_overlong_integer_literal_offset():
+    """A literal past the interpreter's digit limit for int() (Python
+    3.11 and later) is a ParseError at the literal, not a ValueError."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() has no digit limit on this Python")
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("x0 + %s*x1" % ("7" * (limit + 1)), F1)
+    assert exc.value.details["offset"] == 5
 
 
 @st.composite

@@ -14,8 +14,8 @@ from toricsegre.cones import find_alpha
 from toricsegre.exactpoly import (Polynomial, monomials_of_degree,
                                   multidegree_of, random_homogeneous)
 from toricsegre.fan import Fan, build_cox_context, chart_dehomogenize
-from toricsegre.groebner import (MultigradedIdeal, groebner_basis,
-                                 saturate_ideal, vector_space_dimension)
+from toricsegre.groebner import (Ideal, groebner_basis, saturate_ideal,
+                                 vector_space_dimension)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
@@ -24,7 +24,7 @@ from toricsegre.segre import (DEFAULT_COEFF_BOUND, pick_sections,
                               preprocess, residual_class, segre_class,
                               zero_dim_length)
 
-from _oracles import (intersect, irrelevant_ideal,
+from _oracles import (grevlex_ideal, intersect, irrelevant_ideal,
                       saturate_by_intersection)
 from test_fan import star_subdivide
 from test_cones import (EIGHT_RAYS, FIVE_RAYS, TWELVE_RAYS,
@@ -146,12 +146,10 @@ def test_sections_have_degree_alpha_and_lie_in_ideal():
     alpha = find_alpha(prob.degrees, cox, prob.functionals)
     assert alpha == (6, 4)
     rng = random.Random(11)
-    G = groebner_basis(
-        MultigradedIdeal.create(prob.generators, cox.ring)).elements
+    G = groebner_basis(grevlex_ideal(prob.generators, cox.ring.names)).elements
     for f in pick_sections(prob, alpha, 2, rng, 50):
         assert multidegree_of(f, cox.ring) == alpha
-        with_f = MultigradedIdeal.create(
-            list(prob.generators) + [f], cox.ring)
+        with_f = grevlex_ideal(list(prob.generators) + [f], cox.ring.names)
         assert groebner_basis(with_f).elements == G
 
 
@@ -170,10 +168,10 @@ def test_colon_saturation_stability():
             rng = random.Random("stab:%d" % d)
             sections = pick_sections(prob, alpha, d, rng, 50)
             charts = residual_ideal(prob, sections)
-            F = MultigradedIdeal.create(sections, cox.ring)
+            F = grevlex_ideal(sections, cox.ring.names)
             cox_residual = saturate_ideal(
                 saturate_ideal(F, irrelevant_ideal(cox)),
-                MultigradedIdeal.create(prob.generators, cox.ring))
+                grevlex_ideal(prob.generators, cox.ring.names))
             oracles = chart_dehomogenize(cox_residual.generators, cox)
             assert len(charts) == len(cox.fan.max_cones)
             for t, (chart, oracle) in enumerate(zip(charts, oracles)):
@@ -226,7 +224,7 @@ def length_of(I, cox):
 def test_zero_dim_length_single_points():
     cox = hirzebruch(0)
     for p, q in (((1, 0), (1, 0)), ((1, 1), (2, 3)), ((0, 1), (1, -1))):
-        I = MultigradedIdeal.create(point_ideal_p1p1(cox, p, q), cox.ring)
+        I = grevlex_ideal(point_ideal_p1p1(cox, p, q), cox.ring.names)
         I = saturate_ideal(I, irrelevant_ideal(cox))
         assert length_of(I, cox) == 1, (p, q)
 
@@ -236,17 +234,15 @@ def test_zero_dim_length_fat_point():
     cox = hirzebruch(0)
     gens = point_ideal_p1p1(cox, (1, 1), (1, 2))
     sq = [a * b for a in gens for b in gens]
-    I = saturate_ideal(MultigradedIdeal.create(sq, cox.ring),
+    I = saturate_ideal(grevlex_ideal(sq, cox.ring.names),
                        irrelevant_ideal(cox))
     assert length_of(I, cox) == 3
 
 
 def test_zero_dim_length_union():
     cox = hirzebruch(0)
-    A = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 0), (1, 0)),
-                                cox.ring)
-    B = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 1), (2, 1)),
-                                cox.ring)
+    A = grevlex_ideal(point_ideal_p1p1(cox, (1, 0), (1, 0)), cox.ring.names)
+    B = grevlex_ideal(point_ideal_p1p1(cox, (1, 1), (2, 1)), cox.ring.names)
     I = saturate_ideal(intersect(A, B), irrelevant_ideal(cox))
     assert length_of(I, cox) == 2
 
@@ -262,8 +258,8 @@ def length_by_saturation(charts, cox):
             total += v
             continue
         off = cox.fan.cone_complement(cox.fan.max_cones[t])
-        M = MultigradedIdeal.create(
-            [irr[s].set_to_one(off) for s in range(t)], J.ctx)
+        M = Ideal.create([irr[s].set_to_one(off) for s in range(t)],
+                         J.names, J.order)
         total += v - vector_space_dimension(saturate_ideal(J, M))
     return total
 
@@ -377,9 +373,9 @@ def test_zero_dim_length_curvilinear_fat_point():
     chart 0: length 5."""
     cox = hirzebruch(0)
     x0, x1, y0, y1 = (Polynomial.variable(4, i) for i in range(4))
-    fat = MultigradedIdeal.create([x0 ** 4, y0 * x1 - x0 * y1], cox.ring)
-    point = MultigradedIdeal.create(point_ideal_p1p1(cox, (1, 1), (1, 1)),
-                                    cox.ring)
+    fat = grevlex_ideal([x0 ** 4, y0 * x1 - x0 * y1], cox.ring.names)
+    point = grevlex_ideal(point_ideal_p1p1(cox, (1, 1), (1, 1)),
+                          cox.ring.names)
     assert length_of(fat, cox) == 4
     I = intersect(fat, point)
     charts = chart_dehomogenize(I.generators, cox)
