@@ -4,12 +4,14 @@ and an ideal, run the full pipeline, and print the Segre class.
 The machine format is deterministic JSON (sorted keys, fixed separators)
 listing every class as (codimension, basis monomial as a sorted ray-index
 multiset, integer coefficient) triples, so identical inputs give
-byte-identical output.
+byte-identical output.  Every output integer is written exactly, however
+many digits it has.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -23,7 +25,7 @@ from .segre import DEFAULT_COEFF_BOUND, preprocess, segre_class
 # exit codes per diagnostic class; any unlisted error code exits 1
 EXIT_CODES = {
     "E_INPUT": 2, "E_PARSE": 2, "E_NOT_HOMOGENEOUS": 2,
-    "E_ZERO_POLYNOMIAL": 2,
+    "E_ZERO_POLYNOMIAL": 2, "E_TOO_LARGE": 2,
     "E_FAN_INVALID": 3, "E_FAN_NOT_SMOOTH": 3, "E_FAN_NOT_COMPLETE": 3,
     "E_INVALID_GRADING": 3, "E_NO_POSITIVE_GRADING": 3,
     "E_NOT_PROJECTIVE": 3,
@@ -186,10 +188,29 @@ def build_output(cox, chow, problem, result, retries):
     }
 
 
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift the interpreter's digit limit on int-to-str conversion (Python
+    3.11 and later) while output is written.  Parsing keeps the limit, so
+    an over-long integer literal is still E_PARSE."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_exact_ints()
 def format_machine(out_doc):
     return json.dumps(out_doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@_exact_ints()
 def format_human(cox, chow, result, verbose=False):
     k = cox.fan.dim
     n = result.dim

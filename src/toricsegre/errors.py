@@ -153,3 +153,8 @@ class ParseError(ToricSegreError):
 class InputError(ToricSegreError):
     """Structurally invalid input document."""
     code = "E_INPUT"
+
+
+class TooLarge(ToricSegreError):
+    """An input would build an object past a documented size limit."""
+    code = "E_TOO_LARGE"

@@ -70,7 +70,7 @@ class GrevLex:
     def key(self, e):
         """Flat int tuple, leading monomial first: the negated total degree,
         then the exponents of ``perm`` in reverse."""
-        return (-sum(e), *[e[i] for i in self._rev])
+        return (-sum(e), *map(e.__getitem__, self._rev))
 
     def __repr__(self):
         return "GrevLex(perm=%r)" % (self.perm,)
@@ -96,10 +96,9 @@ class BlockOrder:
     def key(self, e):
         """Flat int tuple, leading monomial first: each block's negated
         total degree followed by its exponents in reverse."""
-        return (-sum([e[i] for i in self.front]),
-                *[e[i] for i in self._front_rev],
-                -sum([e[i] for i in self.rest]),
-                *[e[i] for i in self._rest_rev])
+        get = e.__getitem__
+        return (-sum(map(get, self.front)), *map(get, self._front_rev),
+                -sum(map(get, self.rest)), *map(get, self._rest_rev))
 
     def __repr__(self):
         return "BlockOrder(front=%r, rest=%r)" % (self.front, self.rest)

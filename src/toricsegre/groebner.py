@@ -11,6 +11,13 @@ each term once by ``order.key`` (ascending keys list the leading monomial
 first) and pops its leads from a heap, so remainders come out in
 decreasing order; a basis stores its leads.
 
+Exponent tuples are combined by builtins mapped over them, so the loop
+over exponents runs in C: a product or shift is ``tuple(map(add, m,
+shift))`` with the shift ``tuple(map(sub, l, lm))`` built once per call,
+divisibility is ``all(map(le, lm, m))``, written inline in the reducer
+scans, and disjoint leads are ``not any(map(mul, a, b))``; the order
+keys map ``e.__getitem__`` (DECISIONS.md entry 21).
+
 An ideal is its generators, its variable names and one monomial order,
 and it holds its one reduced basis for that order.  The basis is computed
 where the ideal is made: ``Ideal.extend`` from the basis it extends,
@@ -30,6 +37,7 @@ import itertools
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, le, mul, sub
 
 from .errors import NonIntegerCoefficient, NotZeroDimensional
 from .exactpoly import BlockOrder, GrevLex, Polynomial
@@ -61,28 +69,16 @@ def _monomial_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _monomial_divides(a, b):
-    """Whether a divides b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _shift(p, m):
-    return {_monomial_mul(mm, m): c for mm, c in p.items()}
-
-
 def _spoly(f, lf, g, lg, order):
     l = _monomial_lcm(lf, lg)
     cf, cg = f[lf], g[lg]
     d = gcd(cf, cg)
     a, b = cg // d, cf // d
-    out = {}
-    for m, c in _shift(f, tuple(x - y for x, y in zip(l, lf))).items():
-        out[m] = a * c
-    for m, c in _shift(g, tuple(x - y for x, y in zip(l, lg))).items():
+    shift = tuple(map(sub, l, lf))
+    out = {tuple(map(add, m, shift)): a * c for m, c in f.items()}
+    shift = tuple(map(sub, l, lg))
+    for m, c in g.items():
+        m = tuple(map(add, m, shift))
         s = out.get(m, 0) - b * c
         if s:
             out[m] = s
@@ -95,11 +91,11 @@ def _subtract_tail(num, heap, key, m, lm, q, b):
     """num -= b * (m / lm) * (q minus its lead term), the step that cancels
     the popped term at m.  A monomial new to num goes on the heap with its
     key; a cancelled one leaves num, and its heap entry is skipped."""
-    shift = tuple(x - y for x, y in zip(m, lm))
+    shift = tuple(map(sub, m, lm))
     for mm, cc in q.items():
         if mm == lm:
             continue
-        mm2 = _monomial_mul(mm, shift)
+        mm2 = tuple(map(add, mm, shift))
         old = num.get(mm2)
         if old is None:
             num[mm2] = -b * cc
@@ -133,7 +129,7 @@ def _reduce(p, reducers, order):
         if not c:
             continue
         for lm, q, lc in reducers:
-            if _monomial_divides(lm, m):
+            if all(map(le, lm, m)):
                 break
         else:
             res[m] = c
@@ -193,7 +189,7 @@ def _buchberger(gens, order, known=()):
         return _monomial_lcm(lms[i], lms[j])
 
     def disjoint(i, j):
-        return all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j]))
+        return not any(map(mul, lms[i], lms[j]))
 
     def update(G, B, ih):
         # Gebauer-Moller: prune the new pairs {(ih, g)} and the old ones
@@ -207,7 +203,7 @@ def _buchberger(gens, order, known=()):
             if disjoint(ih, g):
                 D.add(pair)
                 continue
-            if not any(_monomial_divides(lcm_ij(ih, r[1]), lcm_hg)
+            if not any(all(map(le, lcm_ij(ih, r[1]), lcm_hg))
                        for r in itertools.chain(C, D)):
                 D.add(pair)
         E = {pair for pair in D if not disjoint(ih, pair[1])}
@@ -216,12 +212,12 @@ def _buchberger(gens, order, known=()):
         B_new = set()
         for (i1, i2) in B:
             lcm12 = lcm_ij(i1, i2)
-            if (not _monomial_divides(mh, lcm12)
+            if (not all(map(le, mh, lcm12))
                     or lcm_ij(i1, ih) == lcm12
                     or lcm_ij(i2, ih) == lcm12):
                 B_new.add((i1, i2))
         B_new |= E
-        G_new = {g for g in G if not _monomial_divides(mh, lms[g])}
+        G_new = {g for g in G if not all(map(le, mh, lms[g]))}
         G_new.add(ih)
         return G_new, B_new
 
@@ -341,7 +337,7 @@ def normal_form(f, G):
         if not c:
             continue
         for lm, q in reducers:
-            if _monomial_divides(lm, m):
+            if all(map(le, lm, m)):
                 break
         else:
             res[m] = c
@@ -366,7 +362,7 @@ def _eliminate_extra_raw(raw, nvars, n_extra):
     order = BlockOrder(range(nvars, nvars + n_extra), nvars + n_extra)
     out = []
     for _lm, p in _buchberger(raw, order):
-        if all(all(m[nvars + i] == 0 for i in range(n_extra)) for m in p):
+        if not any(any(m[nvars:]) for m in p):
             out.append({m[:nvars]: c for m, c in p.items()})
     return out
 
@@ -438,8 +434,7 @@ def vector_space_dimension(I):
         return 0
     r = I.nvars
     for i in range(r):
-        if not any(all(e == 0 for j, e in enumerate(m) if j != i)
-                   for m in lms):
+        if not any(m[i] == sum(m) for m in lms):
             raise NotZeroDimensional(
                 "variable %s is not nilpotent modulo the lead-term ideal"
                 % I.names[i])
@@ -450,6 +445,6 @@ def vector_space_dimension(I):
         count += 1
         for i in range(first, r):
             e = m[:i] + (m[i] + 1,) + m[i + 1:]
-            if not any(_monomial_divides(lm, e) for lm in lms):
+            if not any(all(map(le, lm, e)) for lm in lms):
                 stack.append((e, i))
     return count

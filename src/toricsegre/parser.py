@@ -7,12 +7,22 @@ Grammar (whitespace insignificant)::
     factor := variable ('^' positive-integer)? | '(' expr ')'
 
 Errors carry the character offset of the offending token.
+
+A power of a polynomial with t > 1 terms to the e is expanded only when
+its term bound C(e + t - 1, t - 1), the number of monomials of degree e in
+t variables, is at most ``MAX_POWER_TERMS``; past it the parser raises
+``TooLarge`` (E_TOO_LARGE).  A power of a monomial is always taken.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 from .exactpoly import Polynomial
+
+# (z0 + z1)^999, the largest power of two terms within the bound, takes
+# about a second to expand on a 2-CPU VM; the cost grows faster than the
+# square of the term count.
+MAX_POWER_TERMS = 1000
 
 
 class _Scanner:
@@ -124,9 +134,28 @@ class PolynomialParser:
             if scan.kind != "int" or scan.value < 1:
                 raise ParseError("expected a positive integer exponent",
                                  offset=scan.token_start)
+            t = len(poly.coeffs)
+            if t > 1 and _power_terms_exceed(t, scan.value, MAX_POWER_TERMS):
+                raise TooLarge(
+                    "a power of %d terms to the %d would have more than %d "
+                    "terms" % (t, scan.value, MAX_POWER_TERMS),
+                    offset=scan.token_start)
             poly = poly ** scan.value
             scan.advance()
         return poly
+
+
+def _power_terms_exceed(t, e, limit):
+    """Whether C(e + t - 1, t - 1), the bound on the terms of a t-term
+    polynomial to the e, exceeds ``limit``.  C(n, j) grows with j up to
+    j = n/2, so the partial products stop within a few steps."""
+    n = e + t - 1
+    c = 1
+    for j in range(1, min(e, t - 1) + 1):
+        c = c * (n - j + 1) // j
+        if c > limit:
+            return True
+    return False
 
 
 def is_name(text):

@@ -1,6 +1,6 @@
-"""Test oracles: fan checks, ideal operations, reductions and monomial
-lists the program no longer computes this way, kept to check the ones it
-does."""
+"""Test oracles: fan checks, ideal operations, reductions, monomial
+lists, monomial helpers and order keys the program no longer computes this
+way, kept to check the ones it does."""
 
 import itertools
 from fractions import Fraction
@@ -10,9 +10,34 @@ from toricsegre import linalg
 from toricsegre.errors import NonIntegerCoefficient, NotComplete, NotSmooth
 from toricsegre.exactpoly import GrevLex, Polynomial
 from toricsegre.fan import find_heft
-from toricsegre.groebner import (Ideal, _eliminate_extra_raw,
-                                 _monomial_divides, _monomial_mul, _primitive,
+from toricsegre.groebner import (Ideal, _eliminate_extra_raw, _primitive,
                                  groebner_basis, saturate_ideal)
+
+
+def _monomial_divides(a, b):
+    """Whether a divides b, exponent by exponent in a comprehension."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def grevlex_key_by_comprehension(order, e):
+    """``GrevLex.key`` as it was before it mapped ``e.__getitem__``: the
+    negated total degree, then the exponents of ``order.perm`` in
+    reverse, by a list comprehension."""
+    return (-sum(e), *[e[i] for i in reversed(order.perm)])
+
+
+def block_key_by_comprehension(order, e):
+    """``BlockOrder.key`` as it was before it mapped ``e.__getitem__``:
+    each block's negated total degree followed by its exponents in
+    reverse, by list comprehensions."""
+    return (-sum([e[i] for i in order.front]),
+            *[e[i] for i in reversed(order.front)],
+            -sum([e[i] for i in order.rest]),
+            *[e[i] for i in reversed(order.rest)])
 
 
 def grevlex_ideal(gens, names):

@@ -203,6 +203,38 @@ def test_large_exponent_within_5_s(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
+def test_output_integers_past_the_digit_limit(tmp_path, capsys):
+    """V(z0^(10^2200)) on P2 has s_1 = -10^4400 H^2, past int-to-str's
+    4300-digit limit (Python 3.11 and later): both formats write it
+    exactly, and restore the limit for the parser."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    d = "1" + "0" * 2200
+    doc = {"rays": [[1, 0], [0, 1], [-1, -1]],
+           "max_cones": [[0, 1], [1, 2], [0, 2]],
+           "ideal": ["z0^" + d]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["--input", path]) == 0
+    assert ("s(Z,X) = -1%s*Dz2^2 + %s*Dz2\n" % ("0" * 4400, d)
+            in capsys.readouterr().out)
+    assert cli.main(["--input", path, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert ('"segre":[{"codim":1,"coefficients":[%s]},'
+            '{"codim":2,"coefficients":[-1%s]}]' % (d, "0" * 4400)) in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_too_large_power_exit_code(tmp_path, capsys):
+    """A power of a binomial past the parser's term bound exits 2 with
+    E_TOO_LARGE within a second, where its expansion would not finish."""
+    doc = {"rays": [[1, 0], [0, 1], [-1, -1]],
+           "max_cones": [[0, 1], [1, 2], [0, 2]],
+           "ideal": ["(z0 + z1)^100000"]}
+    with time_limit(1, "(z0 + z1)^100000 on P2"):
+        rc = cli.main(["--input", write_doc(tmp_path, doc)])
+    assert rc == 2
+    assert "error E_TOO_LARGE" in capsys.readouterr().err
+
+
 def test_inhomogeneous_generator_reports_degrees(tmp_path, capsys):
     doc = dict(F1_DOC, ideal=["x0 + y1"])
     rc = cli.main(["--input", write_doc(tmp_path, doc)])

@@ -5,7 +5,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricsegre.errors import NotHomogeneous
@@ -16,7 +16,8 @@ from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 
-from _oracles import monomials_by_heft_walk
+from _oracles import (block_key_by_comprehension,
+                      grevlex_key_by_comprehension, monomials_by_heft_walk)
 from test_cones import EIGHT_RAYS, FIVE_RAYS, cyclic_surface
 
 CTX2 = RingContext(names=("x", "y", "z"), grading=((1, 1, 1),))
@@ -63,6 +64,36 @@ def leads(a, b, order):
             if a[i] != b[i]:
                 return a[i] < b[i]
     return False
+
+
+@st.composite
+def keyed_exponents(draw):
+    """An exponent tuple in 1 to 6 variables and an order on them: GrevLex
+    with any perm, or a BlockOrder whose front block may be empty or
+    everything."""
+    nvars = draw(st.integers(1, 6))
+    e = draw(st.tuples(*([st.integers(0, 9)] * nvars)))
+    if draw(st.booleans()):
+        return e, GrevLex(draw(st.permutations(range(nvars))))
+    front = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars))
+    return e, BlockOrder(front, nvars)
+
+
+@given(keyed_exponents())
+@example(((4,), GrevLex((0,))))
+@example(((3,), BlockOrder((), 1)))
+@example(((3,), BlockOrder((0,), 1)))
+@example(((2, 0, 5), BlockOrder((), 3)))
+@example(((2, 0, 5), BlockOrder((0, 1, 2), 3)))
+@settings(max_examples=200, deadline=None)
+def test_order_keys_match_comprehension_oracles(case):
+    """The keys built by mapping ``e.__getitem__`` equal the keys built by
+    list comprehensions, also for one variable and for empty blocks."""
+    e, order = case
+    if isinstance(order, GrevLex):
+        assert order.key(e) == grevlex_key_by_comprehension(order, e)
+    else:
+        assert order.key(e) == block_key_by_comprehension(order, e)
 
 
 @given(polys(), polys(), polys())

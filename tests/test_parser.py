@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsegre.errors import ParseError
+from toricsegre.errors import ParseError, TooLarge
 from toricsegre.exactpoly import Polynomial, RingContext, multidegree_of
-from toricsegre.parser import parse_polynomial
+from toricsegre.parser import MAX_POWER_TERMS, parse_polynomial
+
+from test_segre import time_limit
 
 F1 = RingContext(names=("x0", "x1", "y0", "y1"),
                  grading=((1, 1, 1, 0), (0, 0, 1, 1)))
@@ -100,6 +102,32 @@ def test_overlong_integer_literal_offset():
     with pytest.raises(ParseError) as exc:
         parse_polynomial("x0 + %s*x1" % ("7" * (limit + 1)), F1)
     assert exc.value.details["offset"] == 5
+
+
+def test_power_term_bound():
+    """A power of t > 1 terms to the e is expanded while C(e + t - 1,
+    t - 1) is at most MAX_POWER_TERMS, and refused past it at the
+    exponent; a power of a monomial is always taken."""
+    assert MAX_POWER_TERMS == 1000
+    assert len(parse_polynomial("(x0 + x1 + y0)^43", F1).coeffs) == 990
+    for text in ("(x0 + x1 + y0)^44", "(x0 + x1)^1000", "x0 + (x1 - y0)^5000"):
+        with pytest.raises(TooLarge) as exc:
+            parse_polynomial(text, F1)
+        assert exc.value.code == "E_TOO_LARGE"
+        assert exc.value.details["offset"] == text.index("^") + 1
+    assert parse_polynomial("(x0 - x0)^5000", F1).is_zero()
+    assert parse_polynomial("(x0*y1)^100000000", F1).coeffs == {
+        (100000000, 0, 0, 100000000): 1}
+
+
+def test_power_refusal_within_1_s():
+    """The bound is checked before any product, so a power of a binomial
+    whose expansion would not finish is refused at once, even with an
+    exponent of thousands of digits."""
+    with time_limit(1, "refusing (x0 + x1)^100000"):
+        for text in ("(x0 + x1)^100000", "(x0 + x1)^%s" % ("9" * 4000)):
+            with pytest.raises(TooLarge):
+                parse_polynomial(text, F1)
 
 
 @st.composite
