@@ -17,9 +17,14 @@ from math import comb
 
 from . import linalg
 from .errors import (CodimOverflow, NoIntegerLift, NormalizationInconsistent,
-                     NotHomogeneous, RankMismatch)
+                     NotHomogeneous, RankMismatch, TooLarge)
 from .exactpoly import GrevLex, Polynomial, monomials_of_total_degree
 from .groebner import Ideal, groebner_basis, normal_form
+
+
+# The most monomial orders ``build_chow_ring`` tries.  Each costs one
+# Groebner basis; the library fans need one order, F2 and F3 two.
+MAX_CHOW_ORDERS = 24
 
 
 def chow_ranks(fan):
@@ -156,7 +161,7 @@ def build_chow_ring(cox):
     pivot cones and orders are tried until the rank check, monic leads (so
     normal forms stay integral) and the point-class normalization (every
     maximal cone reduces to +- the top monomial, with one common sign) all
-    pass.
+    pass.  Past ``MAX_CHOW_ORDERS`` orders it raises TooLarge.
     """
     fan = cox.fan
     r, k = fan.nrays, fan.dim
@@ -167,9 +172,15 @@ def build_chow_ring(cox):
                                    for i, u in enumerate(fan.rays)}))
     names = tuple("D%s" % n for n in cox.ring.names)
     last_error = None
+    tried = 0
     for pivot_cone in fan.max_cones:
         rest = fan.cone_complement(pivot_cone)
         for rest_perm in itertools.permutations(rest):
+            if tried == MAX_CHOW_ORDERS:
+                raise TooLarge(
+                    "no integral Chow presentation in the first %d monomial "
+                    "orders; last: %s" % (tried, last_error), orders=tried)
+            tried += 1
             order = GrevLex(tuple(pivot_cone) + rest_perm)
             try:
                 return _assemble(cox, Ideal.create(gens, names, order))

@@ -218,6 +218,8 @@ def format_human(cox, chow, result, verbose=False):
     lines.append("alpha = (%s)" % ", ".join(str(a) for a in result.alpha))
     lines.append("dim Z = %d  (codim %d in the %d-fold)" % (n, k - n, k))
     if verbose:
+        for attempt, failure in enumerate(result.failures):
+            lines.append("attempt %d failed: %s" % (attempt, failure))
         for rd in result.residuals:
             if rd.dimension is None:
                 lines.append("R_%d: empty" % rd.d)
@@ -251,7 +253,7 @@ def main(argv=None):
                     help="run the internal invariant suite on the variety "
                          "before computing")
     ap.add_argument("--verbose", action="store_true",
-                    help="print residual data as well")
+                    help="print failed attempts and residual data as well")
     args = ap.parse_args(argv)
     try:
         if args.input == "-":

@@ -248,16 +248,17 @@ def build_cox_context(fan, names=None, degrees=None):
     return CoxContext(ring=RingContext(names=names, grading=a), fan=fan)
 
 
-def chart_dehomogenize(gens, cox):
+def chart_dehomogenize(gens, cox, prime=None):
     """The ideals of the Cox-ring polynomials ``gens`` on the charts of the
     maximal cones, in cone order: every off-chart variable is set to 1,
     and the ring of a chart has the rays of its cone as variables, in
-    index order, ordered by grevlex."""
+    index order, ordered by grevlex.  Their bases are over GF(``prime``),
+    or over Z when ``prime`` is None."""
     names, fan = cox.ring.names, cox.fan
     out = []
     for cone in fan.max_cones:
         off = fan.cone_complement(cone)
         out.append(Ideal.create([g.set_to_one(off) for g in gens],
                                 [names[i] for i in cone],
-                                GrevLex(range(len(cone)))))
+                                GrevLex(range(len(cone))), prime))
     return tuple(out)

@@ -2,14 +2,19 @@
 normal forms, elimination, saturation, Krull dimension and vector-space
 dimension of Artinian quotients.
 
-Coefficients are integers throughout.  The engine works directly on the
-coefficient dicts of :class:`exactpoly.Polynomial` values (exponent tuple ->
-int): Buchberger runs fraction-free and keeps basis elements primitive
-(content 1, positive leading coefficient), and normal forms are exact
-integer reductions by the basis scaled to monic leads.  A reduction keys
-each term once by ``order.key`` (ascending keys list the leading monomial
-first) and pops its leads from a heap, so remainders come out in
-decreasing order; a basis stores its leads.
+The engine works directly on the coefficient dicts of
+:class:`exactpoly.Polynomial` values (exponent tuple -> int), over Z or
+over GF(p) for a prime p.  Over Z, Buchberger runs fraction-free and keeps
+basis elements primitive (content 1, positive leading coefficient), and
+normal forms are exact integer reductions by the basis scaled to monic
+leads.  Over GF(p) the same pair loop runs a monic kernel: coefficients
+live in [0, p), every element has lead coefficient 1, and no gcd or
+rescaling runs.  An ideal carries the prime of its basis, or None for an
+integer basis; ``Ideal.extend`` and ``saturate_ideal`` keep it, and
+``normal_form`` reads integer bases only (DECISIONS.md entry 22).  A
+reduction keys each term once by ``order.key`` (ascending keys list the
+leading monomial first) and pops its leads from a heap, so remainders come
+out in decreasing order; a basis stores its leads.
 
 Exponent tuples are combined by builtins mapped over them, so the loop
 over exponents runs in C: a product or shift is ``tuple(map(add, m,
@@ -65,11 +70,20 @@ def _primitive(p, lead):
     return {m: c // g for m, c in p.items()}
 
 
+def _monic(p, lead, prime):
+    """p, its coefficients in [1, prime), scaled mod ``prime`` to lead
+    coefficient 1."""
+    inv = pow(p[lead], -1, prime)
+    if inv == 1:
+        return p
+    return {m: c * inv % prime for m, c in p.items()}
+
+
 def _monomial_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _spoly(f, lf, g, lg, order):
+def _spoly(f, lf, g, lg):
     l = _monomial_lcm(lf, lg)
     cf, cg = f[lf], g[lg]
     d = gcd(cf, cg)
@@ -80,6 +94,22 @@ def _spoly(f, lf, g, lg, order):
     for m, c in g.items():
         m = tuple(map(add, m, shift))
         s = out.get(m, 0) - b * c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _spoly_mod(f, lf, g, lg, prime):
+    """The S-polynomial of two monic polynomials mod ``prime``."""
+    l = _monomial_lcm(lf, lg)
+    shift = tuple(map(sub, l, lf))
+    out = {tuple(map(add, m, shift)): c for m, c in f.items()}
+    shift = tuple(map(sub, l, lg))
+    for m, c in g.items():
+        m = tuple(map(add, m, shift))
+        s = (out.get(m, 0) - c) % prime
         if s:
             out[m] = s
         else:
@@ -155,25 +185,77 @@ def _reduce(p, reducers, order):
     return _primitive(res, next(iter(res))) if res else res
 
 
-def _buchberger(gens, order, known=()):
+def _reduce_mod(p, reducers, order, prime):
+    """Full reduction of p mod ``prime`` by monic reducers, given as
+    (lead, poly, 1) in ascending-lead order: ``_reduce``'s heap walk with
+    each popped term cancelled outright.  Returns the monic remainder, its
+    terms in decreasing order."""
+    key = order.key
+    num = dict(p)
+    heap = [(key(m), m) for m in num]
+    heapify(heap)
+    res = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = num.pop(m, 0)
+        if not c:
+            continue
+        for lm, q, _lc in reducers:
+            if all(map(le, lm, m)):
+                break
+        else:
+            res[m] = c
+            continue
+        shift = tuple(map(sub, m, lm))
+        for mm, cc in q.items():
+            if mm == lm:
+                continue
+            mm = tuple(map(add, mm, shift))
+            old = num.get(mm)
+            if old is None:
+                num[mm] = -c * cc % prime
+                heappush(heap, (key(mm), mm))
+            else:
+                s = (old - c * cc) % prime
+                if s:
+                    num[mm] = s
+                else:
+                    del num[mm]
+    return _monic(res, next(iter(res)), prime) if res else res
+
+
+def _buchberger(gens, order, known=(), prime=None):
     """Reduced Groebner basis of the ideal generated by ``known`` and
     ``gens``, as a list of (lead monomial, element) sorted by decreasing
-    lead.
+    lead: over Z when ``prime`` is None, else over GF(prime), where the
+    generators are read mod ``prime`` and the elements are monic.
 
     Classic Buchberger with the Gebauer-Moller update (criteria M, F and
     B_k) and normal pair selection, after Becker-Weispfenning.  ``known``
-    is a reduced basis for ``order`` as (lead, element) pairs.  The S-pair
-    of two known elements reduces to zero, so it is never queued; it
-    still counts in the criteria that prune the other pairs.
+    is a reduced basis for ``order`` (and ``prime``) as (lead, element)
+    pairs.  The S-pair of two known elements reduces to zero, so it is
+    never queued; it still counts in the criteria that prune the other
+    pairs.
     """
     key = order.key
+    if prime is None:
+        spoly, reduce = _spoly, _reduce
+    else:
+        def spoly(f, lf, g, lg):
+            return _spoly_mod(f, lf, g, lg, prime)
+
+        def reduce(p, reducers, order):
+            return _reduce_mod(p, reducers, order, prime)
     # (lead, element, whether it is known)
     f = [(lm, p, True) for lm, p in known]
     seen = {frozenset(p.items()) for _lm, p in known}
     for p in gens:
+        if prime is not None:
+            p = {m: c % prime for m, c in p.items() if c % prime}
         if p:
             lm = min(p, key=key)
-            p = _primitive(dict(p), lm)
+            p = (_primitive(dict(p), lm) if prime is None
+                 else _monic(p, lm, prime))
             fs = frozenset(p.items())
             if fs not in seen:
                 seen.add(fs)
@@ -228,10 +310,10 @@ def _buchberger(gens, order, known=()):
     while B:
         i, j = max(B, key=lambda p: key(lcm_ij(p[0], p[1])))
         B.remove((i, j))
-        s = _spoly(f[i], lms[i], f[j], lms[j], order)
+        s = spoly(f[i], lms[i], f[j], lms[j])
         reducers = sorted(((lms[g], f[g], f[g][lms[g]]) for g in G),
                           key=lambda t: key(t[0]), reverse=True)
-        h = _reduce(s, reducers, order)
+        h = reduce(s, reducers, order)
         if h:
             f.append(h)
             lms.append(next(iter(h)))
@@ -242,8 +324,8 @@ def _buchberger(gens, order, known=()):
     # other, so each element keeps its lead
     ordered = sorted(G, key=lambda g: key(lms[g]))
     reducers = [(lms[g], f[g], f[g][lms[g]]) for g in reversed(ordered)]
-    return [(lms[g], _reduce(f[g], [t for t in reducers if t[0] != lms[g]],
-                             order))
+    return [(lms[g], reduce(f[g], [t for t in reducers if t[0] != lms[g]],
+                            order))
             for g in ordered]
 
 
@@ -251,24 +333,28 @@ def _buchberger(gens, order, known=()):
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal given by its generators, the names of its ring's variables
-    and the monomial order of its one reduced basis, ``_basis``.
+    """An ideal given by its generators, the names of its ring's variables,
+    the monomial order of its one reduced basis, ``_basis``, and the prime
+    of that basis: None for a basis over Z, p for one over GF(p), whose
+    generators are read mod p.
 
     It carries no degrees: the Cox-ring input is graded once, by
     ``segre.preprocess``.  ``extend`` and ``saturate_ideal`` make their
-    ideals with the basis; ``groebner_basis`` computes it for any other.
+    ideals with the basis, over the field of the ideal they start from;
+    ``groebner_basis`` computes it for any other.
     """
 
     generators: tuple
     names: tuple
     order: object
+    prime: object = None
     _basis: object = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def create(cls, gens, names, order):
+    def create(cls, gens, names, order, prime=None):
         """Build an ideal, dropping zero generators."""
         return cls(generators=tuple(g for g in gens if not g.is_zero()),
-                   names=tuple(names), order=order)
+                   names=tuple(names), order=order, prime=prime)
 
     @property
     def nvars(self):
@@ -281,16 +367,18 @@ class Ideal:
         gens = tuple(g for g in gens if not g.is_zero())
         G = groebner_basis(self)
         known = list(zip(G.leads, [g.coeffs for g in G.elements]))
-        basis = _buchberger([g.coeffs for g in gens], self.order, known)
-        return Ideal(G.elements + gens, self.names, self.order,
+        basis = _buchberger([g.coeffs for g in gens], self.order, known,
+                            self.prime)
+        return Ideal(G.elements + gens, self.names, self.order, self.prime,
                      _reduced_basis(self.nvars, self.order, basis))
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis; elements are primitive integer polynomials
-    with positive leading coefficients, sorted by decreasing lead, and
-    ``leads`` holds their lead monomials."""
+    with positive leading coefficients, or over GF(p) monic polynomials
+    with coefficients in [0, p), sorted by decreasing lead, and ``leads``
+    holds their lead monomials."""
 
     elements: tuple
     leads: tuple
@@ -311,13 +399,14 @@ def groebner_basis(I):
         # the one slot a frozen ideal fills after it is made
         object.__setattr__(I, "_basis", _reduced_basis(
             I.nvars, I.order,
-            _buchberger([g.coeffs for g in I.generators], I.order)))
+            _buchberger([g.coeffs for g in I.generators], I.order,
+                        prime=I.prime)))
     return I._basis
 
 
 def normal_form(f, G):
-    """Unique remainder of ``f`` on division by the reduced basis ``G``
-    with its leads made monic, computed in integers.
+    """Unique remainder of ``f`` on division by the reduced integer basis
+    ``G`` with its leads made monic, computed in integers.
 
     Raises NonIntegerCoefficient when a lead coefficient of ``G`` does not
     divide the coefficient it has to cancel.
@@ -352,16 +441,17 @@ def normal_form(f, G):
 
 # --- elimination, saturation ----------------------------------------------
 
-def _eliminate_extra_raw(raw, nvars, n_extra):
+def _eliminate_extra_raw(raw, nvars, n_extra, prime=None):
     """Raw polynomials live in nvars+n_extra variables (extras trailing);
-    eliminate the extras and project back to the base ring.
+    eliminate the extras and project back to the base ring, over Z or
+    over GF(``prime``).
 
     The result is the reduced basis of the elimination ideal for grevlex
     on the base ring (the rest block of the elimination order), each
     element's terms in decreasing order."""
     order = BlockOrder(range(nvars, nvars + n_extra), nvars + n_extra)
     out = []
-    for _lm, p in _buchberger(raw, order):
+    for _lm, p in _buchberger(raw, order, prime=prime):
         if not any(any(m[nvars:]) for m in p):
             out.append({m[:nvars]: c for m, c in p.items()})
     return out
@@ -372,7 +462,7 @@ def saturate_ideal(I, J):
     (I + (1 - y_1*g_1 - ... - y_m*g_m)) meet k[x].
 
     The eliminated basis is the result's reduced basis for grevlex on
-    k[x], so the result is made with it."""
+    k[x], over the field of I, so the result is made with it."""
     if not J.generators:
         raise ValueError("cannot saturate by the zero ideal")
     raws = [g.coeffs for g in J.generators]
@@ -387,11 +477,11 @@ def saturate_ideal(I, J):
         for m, c in p.items():
             rab[m + tag] = -c
     ext.append(rab)
-    raw = _eliminate_extra_raw(ext, I.nvars, n)
+    raw = _eliminate_extra_raw(ext, I.nvars, n, I.prime)
     order = GrevLex(range(I.nvars))
     return Ideal(tuple(Polynomial(I.nvars, p) for p in raw), I.names, order,
-                 _reduced_basis(I.nvars, order,
-                                [(next(iter(p)), p) for p in raw]))
+                 I.prime, _reduced_basis(I.nvars, order,
+                                         [(next(iter(p)), p) for p in raw]))
 
 
 # --- dimensions ------------------------------------------------------------

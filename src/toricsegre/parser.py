@@ -11,7 +11,10 @@ Errors carry the character offset of the offending token.
 A power of a polynomial with t > 1 terms to the e is expanded only when
 its term bound C(e + t - 1, t - 1), the number of monomials of degree e in
 t variables, is at most ``MAX_POWER_TERMS``; past it the parser raises
-``TooLarge`` (E_TOO_LARGE).  A power of a monomial is always taken.
+``TooLarge`` (E_TOO_LARGE).  A power of a monomial is always taken.  A
+product of factors with a and b terms is taken only when a*b, the number
+of term products it forms, is at most half of ``MAX_POWER_TERMS``
+squared; past it the parser raises ``TooLarge`` too.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .exactpoly import Polynomial
 
 # (z0 + z1)^999, the largest power of two terms within the bound, takes
 # about a second to expand on a 2-CPU VM; the cost grows faster than the
-# square of the term count.
+# square of the term count.  It forms 414,688 term products, about the
+# most a product may form, MAX_POWER_TERMS ** 2 // 2.
 MAX_POWER_TERMS = 1000
 
 
@@ -100,8 +104,18 @@ class PolynomialParser:
             if scan.kind == "*":
                 scan.advance()
         while scan.kind in ("name", "("):
+            start = scan.token_start
             factor = self._factor(scan)
-            poly = factor if poly is None else poly * factor
+            if poly is None:
+                poly = factor
+            else:
+                a, b = len(poly.coeffs), len(factor.coeffs)
+                limit = MAX_POWER_TERMS ** 2 // 2
+                if a * b > limit:
+                    raise TooLarge(
+                        "a product of %d and %d terms would form more than "
+                        "%d term products" % (a, b, limit), offset=start)
+                poly = poly * factor
             if scan.kind == "*":
                 scan.advance()
                 if scan.kind not in ("name", "(", "int"):

@@ -16,14 +16,17 @@ class components then follow by the inclusion-exclusion recursion
 
     s_i = alpha^(c+i) - [R_(c+i)] - sum_(j<i) C(c+i, i-j) alpha^(i-j) s_j
 
-with c = codim Z.  All arithmetic is exact; randomness is drawn from named
-deterministic streams so runs are reproducible per (seed, attempt).
+with c = codim Z.  Randomness is drawn from named deterministic streams so
+runs are reproducible per (seed, attempt).  An attempt reads only lead-term
+data of its Groebner bases (dimensions and lengths), so attempt i computes
+them over GF(p_i), p_i the i-th prime below 2^31; the Chow ring, degrees
+and linear solves stay exact over Z (DECISIONS.md entry 22).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from . import linalg
@@ -44,6 +47,35 @@ DEFAULT_COEFF_BOUND = 2 ** 15
 
 RETRYABLE = (DimensionFailure, InconsistentSystem, NonIntegerSolution,
              NotZeroDimensional)
+
+def _is_prime(n):
+    """Whether the odd number n, 7 < n < 3,215,031,751, is prime:
+    Miller-Rabin with the bases 2, 3, 5 and 7, which decide every such
+    n."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _attempt_primes():
+    """The primes of the attempts' Groebner work, one per attempt: the
+    primes below 2^31 downwards, 2147483647, 2147483629, 2147483587, ..."""
+    n = 2 ** 31 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
 
 
 @dataclass(frozen=True)
@@ -83,6 +115,7 @@ class SegreResult:
     seed: object
     attempt: int
     coeff_bound: int
+    failures: tuple = ()  # the failure text of each earlier attempt
 
 
 def _dimension(charts):
@@ -139,11 +172,12 @@ def pick_sections(problem, alpha, d, rng, coeff_bound):
     return out
 
 
-def residual_ideal(problem, sections):
+def residual_ideal(problem, sections, prime):
     """Chart ideals of the residual scheme: on each chart, the section
-    ideal with the subscheme quotiented out, (F_sigma : I_sigma^inf)."""
+    ideal with the subscheme quotiented out, (F_sigma : I_sigma^inf),
+    with bases over GF(``prime``), or over Z when ``prime`` is None."""
     return tuple(saturate_ideal(F_t, I_t) for F_t, I_t
-                 in zip(chart_dehomogenize(sections, problem.cox),
+                 in zip(chart_dehomogenize(sections, problem.cox, prime),
                         problem.charts))
 
 
@@ -261,7 +295,7 @@ def residual_class(problem, d, I_R, seed, attempt, coeff_bound):
     return cls, tuple(map(tuple, rows)), tuple(gammas)
 
 
-def _attempt(problem, alpha, seed, attempt, coeff_bound):
+def _attempt(problem, alpha, seed, attempt, prime, coeff_bound):
     cox, chow = problem.cox, problem.chow
     k, n, c = cox.fan.dim, problem.dim, problem.codim
     residuals = []
@@ -269,7 +303,7 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
     for d in range(c, k + 1):
         rng = random.Random("%s:%d:%d:sections" % (seed, attempt, d))
         sections = pick_sections(problem, alpha, d, rng, coeff_bound)
-        I_R = residual_ideal(problem, sections)
+        I_R = residual_ideal(problem, sections, prime)
         dim_r = _dimension(I_R)
         if dim_r is None:
             residuals.append(ResidualData(d=d, dimension=None,
@@ -307,14 +341,18 @@ def _attempt(problem, alpha, seed, attempt, coeff_bound):
 
 def segre_class(problem, seed=0, coeff_bound=DEFAULT_COEFF_BOUND, retries=5):
     """Push-forward Segre class of the subscheme, retrying with fresh
-    randomness when a draw is degenerate."""
+    randomness and a new prime when a draw or a prime is degenerate.  The
+    result lists the failures of the attempts before it."""
     alpha = find_alpha(problem.degrees, problem.cox, problem.functionals)
     failures = []
-    for attempt in range(max(1, retries)):
+    for attempt, prime in zip(range(max(1, retries)), _attempt_primes()):
         try:
-            return _attempt(problem, alpha, seed, attempt, coeff_bound)
+            result = _attempt(problem, alpha, seed, attempt, prime,
+                              coeff_bound)
         except RETRYABLE as exc:
             failures.append("%s: %s" % (type(exc).__name__, exc))
+            continue
+        return replace(result, failures=tuple(failures))
     raise RetriesExhausted(
         "all %d attempts failed; last: %s" % (max(1, retries), failures[-1]),
         failures=tuple(failures))

@@ -160,7 +160,8 @@ def irrelevant_ideal(cox):
 
 
 def intersect(I, J):
-    """I meet J through a tag variable u: (u*I + (1 - u)*J) meet k[x]."""
+    """I meet J through a tag variable u: (u*I + (1 - u)*J) meet k[x],
+    over the field of I."""
     ext = []
     for g in I.generators:
         ext.append({m + (1,): c for m, c in g.coeffs.items()})
@@ -171,8 +172,8 @@ def intersect(I, J):
         ext.append(q)
     n = I.nvars
     return Ideal.create(
-        [Polynomial(n, p) for p in _eliminate_extra_raw(ext, n, 1)], I.names,
-        I.order)
+        [Polynomial(n, p) for p in _eliminate_extra_raw(ext, n, 1, I.prime)],
+        I.names, I.order, I.prime)
 
 
 def saturate_by_intersection(I, J):

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsegre import chow as chow_module
 from toricsegre import linalg
-from toricsegre.chow import _assemble, build_chow_ring, chow_ranks
+from toricsegre.chow import (MAX_CHOW_ORDERS, _assemble, build_chow_ring,
+                             chow_ranks)
 from toricsegre.errors import (CodimOverflow, NoIntegerLift,
-                               NormalizationInconsistent, RankMismatch)
+                               NormalizationInconsistent, RankMismatch,
+                               TooLarge)
 from toricsegre.exactpoly import GrevLex, Polynomial, random_homogeneous
 from toricsegre.fan import Fan, build_cox_context, validate_smooth_complete
 from toricsegre.groebner import groebner_basis
@@ -21,7 +24,9 @@ from toricsegre.parser import parse_polynomial
 
 from _fans import fan_library
 from _oracles import _det, chow_ideal_by_solved_forms, irrelevant_ideal
+from test_cones import EIGHT_RAYS, TWELVE_RAYS, cyclic_surface
 from test_fan import star_subdivide
+from test_segre import time_limit
 
 
 def chow_of(name):
@@ -212,3 +217,47 @@ def star_subdivisions(draw):
 def test_raw_relations_match_solved_forms_on_star_subdivisions(fan):
     assert validate_smooth_complete(fan)
     assert_same_presentation(build_cox_context(fan))
+
+
+def test_order_search_stops_at_the_cap(monkeypatch):
+    """With every order rejected, the search on the 12-ray surface (10!
+    orders per pivot cone) gives up after MAX_CHOW_ORDERS orders with
+    TooLarge naming the count, in under 1 s.  On P2 the three orders run
+    out first, and the last rejection is raised."""
+    tried = []
+
+    def reject(cox, ideal):
+        tried.append(ideal.order)
+        raise RankMismatch("rejected", codim=0, got=0, expected=1)
+
+    monkeypatch.setattr(chow_module, "_assemble", reject)
+    with time_limit(1, "the capped order search"):
+        with pytest.raises(TooLarge) as exc:
+            build_chow_ring(cyclic_surface(TWELVE_RAYS))
+    assert len(tried) == MAX_CHOW_ORDERS
+    assert exc.value.code == "E_TOO_LARGE"
+    assert exc.value.details["orders"] == MAX_CHOW_ORDERS
+    assert "first %d monomial orders" % MAX_CHOW_ORDERS in str(exc.value)
+    tried.clear()
+    with pytest.raises(RankMismatch):
+        build_chow_ring(projective_space(2))
+    assert len(tried) == 3
+
+
+def test_library_fans_need_few_orders(monkeypatch):
+    """The cap leaves room: every library fan and the 8- and 12-ray
+    surfaces take one order, F2 and F3 two."""
+    tried = []
+
+    def counting(cox, ideal):
+        tried.append(ideal.order)
+        return _assemble(cox, ideal)
+
+    monkeypatch.setattr(chow_module, "_assemble", counting)
+    fans = dict(fan_library())
+    fans["8 rays"] = cyclic_surface(EIGHT_RAYS)
+    fans["12 rays"] = cyclic_surface(TWELVE_RAYS)
+    for name, cox in fans.items():
+        tried.clear()
+        build_chow_ring(cox)
+        assert len(tried) == (2 if name in ("F2", "F3") else 1), name

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from toricsegre import cli
+from toricsegre import cli, segre
 from toricsegre.chow import build_chow_ring
 from toricsegre.errors import InputError, ToricSegreError
 from toricsegre.library import projective_space
@@ -89,6 +89,28 @@ def test_human_output_f1(tmp_path, capsys):
     assert "alpha = (6, 4)" in out
     assert "dim Z = 1" in out
     assert "s_0" in out and "s_1" in out
+
+
+def test_verbose_output_lists_failed_attempts(tmp_path, capsys,
+                                              monkeypatch):
+    """With attempt 0 of the F1 example patched to work mod 3, which the
+    purity check rejects, ``--verbose`` prints that failure before the
+    residuals; the JSON output has no key for it, and without a retry
+    the verbose output has no such line."""
+    path = write_doc(tmp_path, F1_DOC)
+    assert cli.main(["--input", path, "--verbose"]) == 0
+    assert "failed" not in capsys.readouterr().out
+    monkeypatch.setattr(segre, "_attempt_primes",
+                        lambda: iter([3, 2147483647]))
+    assert cli.main(["--input", path, "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == ("attempt 0 failed: DimensionFailure: residual of 2 "
+                        "sections has dimension 1, expected 0")
+    assert lines[3].startswith("R_1: ")
+    assert cli.main(["--input", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["provenance"]["attempt"] == 1
+    assert "failed" not in json.dumps(doc)
 
 
 def test_json_output_round_trip_and_content(tmp_path, capsys):

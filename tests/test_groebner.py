@@ -434,3 +434,58 @@ def test_extend_grades_its_ideal_like_create():
     ext = I.extend([x1 * x1 * y1, Polynomial(len(names), {})])
     assert ext.generators == groebner_basis(I).elements + (x1 * x1 * y1,)
     assert (ext.names, ext.order) == (I.names, I.order)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_prime_field_basis_matches_integer_oracle(data):
+    """On random ideals, under GrevLex with a non-natural perm and under
+    BlockOrder: the reduced basis mod p = 2^31 - 1 is the integer basis
+    made monic mod p, so it has the same leads; krull_dimension and
+    vector_space_dimension read the same on both; and saturating by a
+    random ideal gives the same leads over both fields."""
+    p = 2 ** 31 - 1
+    nvars = data.draw(st.integers(2, 3))
+    order = data.draw(orders(nvars))
+    names = "xyz"[:nvars]
+    gens = data.draw(st.lists(polys(nvars, max_exp=2, max_size=3),
+                              min_size=1, max_size=3))
+    over_z = Ideal.create(gens, names, order)
+    mod_p = Ideal.create(gens, names, order, p)
+    G, Gp = groebner_basis(over_z), groebner_basis(mod_p)
+    assert Gp.leads == G.leads
+    for g, gp, lm in zip(G.elements, Gp.elements, G.leads):
+        inv = pow(g.coeffs[lm], -1, p)
+        assert gp.coeffs == {m: c * inv % p for m, c in g.coeffs.items()
+                             if c % p}
+    assert krull_dimension(mod_p) == krull_dimension(over_z)
+
+    def length(I):
+        try:
+            return vector_space_dimension(I)
+        except NotZeroDimensional:
+            return None
+
+    assert length(mod_p) == length(over_z)
+    J = ideal(names, *data.draw(st.lists(
+        polys(nvars, max_exp=2, max_size=2).filter(bool), min_size=1,
+        max_size=2)))
+    S, Sp = saturate_ideal(over_z, J), saturate_ideal(mod_p, J)
+    assert Sp.prime == p and S.prime is None
+    assert groebner_basis(Sp).leads == groebner_basis(S).leads
+
+
+def test_prime_is_kept_by_extend_and_saturate():
+    """An ideal over GF(p) extends and saturates to ideals over GF(p),
+    whose generators are read mod p: 2*x - 2*p*y is 2*x there."""
+    p = 7
+    x, y = var(XY, 0), var(XY, 1)
+    I = Ideal.create([x * 2 - y * (2 * p), y * y * 3], XY, GrevLex((0, 1)),
+                     p)
+    G = groebner_basis(I)
+    assert G.leads == ((0, 2), (1, 0))
+    assert [g.coeffs for g in G.elements] == [{(0, 2): 1}, {(1, 0): 1}]
+    E = I.extend([y * 14 + x])
+    assert E.prime == p and groebner_basis(E).elements == G.elements
+    S = saturate_ideal(I, ideal(XY, y))
+    assert S.prime == p and groebner_basis(S).leads == ((0, 0),)

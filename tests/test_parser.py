@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from toricsegre.errors import ParseError, TooLarge
 from toricsegre.exactpoly import Polynomial, RingContext, multidegree_of
+from toricsegre import parser
 from toricsegre.parser import MAX_POWER_TERMS, parse_polynomial
 
 from test_segre import time_limit
@@ -128,6 +129,31 @@ def test_power_refusal_within_1_s():
         for text in ("(x0 + x1)^100000", "(x0 + x1)^%s" % ("9" * 4000)):
             with pytest.raises(TooLarge):
                 parse_polynomial(text, F1)
+
+
+def test_product_term_bound(monkeypatch):
+    """A product of factors with a and b terms is taken while a*b is at
+    most half of MAX_POWER_TERMS squared, and refused past it at the
+    factor that would pass it; monomial factors of a product within the
+    bound are taken."""
+    monkeypatch.setattr(parser, "MAX_POWER_TERMS", 10)
+    text = "2*(x0 + x1)^4*x0*(y0 + y1)^9*y1"
+    assert len(parse_polynomial(text, F1).coeffs) == 50
+    text = "(x0 + x1)^4*(y0 + y1)^9*(x0 + y1)"
+    with pytest.raises(TooLarge) as exc:
+        parse_polynomial(text, F1)
+    assert exc.value.code == "E_TOO_LARGE"
+    assert exc.value.details["offset"] == text.rindex("(")
+
+
+def test_product_refusal_within_1_s():
+    """Four factors of 990 terms each: the second is refused before it
+    is multiplied.  Unbounded, the parse and solve took 15.7 s."""
+    text = "*".join(["(z0 + z1 + z2)^43"] * 4)
+    with time_limit(1, "refusing a product of four 990-term factors"):
+        with pytest.raises(TooLarge):
+            parse_polynomial(text, RingContext(names=("z0", "z1", "z2"),
+                                               grading=((1, 1, 1),)))
 
 
 @st.composite

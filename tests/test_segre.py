@@ -1,12 +1,14 @@
 """Segre-class engine: classification, residuals, lengths, and classical
 oracles."""
 
+import itertools
 import random
 import signal
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
+import sympy
 
 from toricsegre.chow import build_chow_ring
 from toricsegre.errors import EmptySubscheme, NotHomogeneous, WholeSpace
@@ -20,9 +22,9 @@ from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
 from toricsegre import groebner, segre
-from toricsegre.segre import (DEFAULT_COEFF_BOUND, pick_sections,
-                              preprocess, residual_class, segre_class,
-                              zero_dim_length)
+from toricsegre.segre import (DEFAULT_COEFF_BOUND, _attempt_primes,
+                              pick_sections, preprocess, residual_class,
+                              segre_class, zero_dim_length)
 
 from _oracles import (grevlex_ideal, intersect, irrelevant_ideal,
                       saturate_by_intersection)
@@ -167,7 +169,7 @@ def test_colon_saturation_stability():
         for d in ds:
             rng = random.Random("stab:%d" % d)
             sections = pick_sections(prob, alpha, d, rng, 50)
-            charts = residual_ideal(prob, sections)
+            charts = residual_ideal(prob, sections, None)  # over Z
             F = grevlex_ideal(sections, cox.ring.names)
             cox_residual = saturate_ideal(
                 saturate_ideal(F, irrelevant_ideal(cox)),
@@ -410,6 +412,72 @@ def test_point_on_8_ray_surface_within_30_s():
                                               chow.divisor(1))
 
 
+def test_point_on_12_ray_surface_within_30_s():
+    """V(z0, z1) on the 12-ray surface is the point Dz0 . Dz1.  Over Z
+    this solve ran past 250 s: one residual basis reached 904-bit
+    coefficients."""
+    cox = cyclic_surface(TWELVE_RAYS)
+    chow, prob = setup(cox, "z0", "z1")
+    with time_limit(30, "the 12-ray point"):
+        res = segre_class(prob, seed=0)
+    assert res.components == (chow.multiply(chow.divisor(0),
+                                            chow.divisor(1)),)
+    assert chow.degree(res.components[0]) == 1
+
+
+def p1_power(n):
+    """(P1)^n with rays +-e_i, the ray of -e_i right after that of e_i,
+    and variables z0 .. z(2n-1)."""
+    rays = tuple(tuple(s * (j == i) for j in range(n))
+                 for i in range(n) for s in (1, -1))
+    cones = tuple(tuple(2 * i + b for i, b in enumerate(bits))
+                  for bits in itertools.product((0, 1), repeat=n))
+    return build_cox_context(Fan(rays, cones))
+
+
+def test_point_on_p1_to_the_4_within_30_s():
+    """The torus-fixed point V(z0, z2, z4, z6) of (P1)^4 is the product of
+    its four divisors, of degree 1.  Over Z this solve ran past 200 s."""
+    cox = p1_power(4)
+    chow, prob = setup(cox, "z0", "z2", "z4", "z6")
+    with time_limit(30, "the P1^4 point"):
+        res = segre_class(prob, seed=0)
+    point = chow.one()
+    for i in (0, 2, 4, 6):
+        point = chow.multiply(point, chow.divisor(i))
+    assert res.components == (point,)
+    assert chow.degree(point) == 1
+
+
+def test_attempt_primes_count_down_below_2_to_the_31():
+    """Attempt i works mod the i-th prime below 2^31, counting from 0."""
+    p = 2 ** 31
+    for prime in itertools.islice(_attempt_primes(), 12):
+        p = sympy.prevprime(p)
+        assert prime == p
+
+
+def test_unlucky_prime_is_retried(monkeypatch):
+    """Example 1 at seed 0 with attempt 0 patched to work mod 3: its codim-2
+    residual comes out one-dimensional, the purity check rejects the
+    attempt, and attempt 1, on a prime below 2^31, gives the exact class;
+    the result keeps attempt 0's failure."""
+    chow, prob = setup(hirzebruch(1), "x1^2*y0^2 + x0^3*x1*y1^2",
+                       "x1*y0^2*y1^2 + x0^3*y1^4")
+    F, E = chow.divisor(0), chow.divisor(3)
+    oracle = (chow.reduce(F * 3 + E * 2),
+              chow.reduce(chow.multiply(E, F) * -6))
+    res = segre_class(prob, seed=0)
+    assert (res.attempt, res.failures, res.components) == (0, (), oracle)
+    monkeypatch.setattr(segre, "_attempt_primes",
+                        lambda: iter([3, 2147483647]))
+    res = segre_class(prob, seed=0)
+    assert res.attempt == 1
+    assert res.components == oracle
+    assert res.failures == ("DimensionFailure: residual of 2 sections has "
+                            "dimension 1, expected 0",)
+
+
 def test_point_on_5_ray_surface_at_tangent_draws():
     """V(z0, z1) on the 5-ray surface is the point Dz0 . Dz1.  At these
     seeds, with coefficients in +-[1, 100], the linear parts of the two
@@ -471,25 +539,26 @@ def test_point_on_p1_cubed_reduces_no_pair_of_known_elements():
     chow, prob = setup(cox, "x0", "y0", "z0")
     known = []
     counts = {"extending": 0, "known pairs": 0}
-    buchberger, spoly = groebner._buchberger, groebner._spoly
+    buchberger, spoly_mod = groebner._buchberger, groebner._spoly_mod
 
-    def spy_buchberger(gens, order, basis=()):
+    def spy_buchberger(gens, order, basis=(), prime=None):
         known.append({frozenset(p.items()) for _lm, p in basis})
         try:
-            return buchberger(gens, order, basis)
+            return buchberger(gens, order, basis, prime)
         finally:
             known.pop()
 
-    def spy_spoly(f, lf, g, lg, order):
+    def spy_spoly_mod(f, lf, g, lg, prime):
         if known[-1]:
             counts["extending"] += 1
             if (frozenset(f.items()) in known[-1]
                     and frozenset(g.items()) in known[-1]):
                 counts["known pairs"] += 1
-        return spoly(f, lf, g, lg, order)
+        return spoly_mod(f, lf, g, lg, prime)
 
+    # the attempt's Groebner work runs mod a prime, in the monic kernel
     with mock.patch.object(groebner, "_buchberger", spy_buchberger), \
-            mock.patch.object(groebner, "_spoly", spy_spoly):
+            mock.patch.object(groebner, "_spoly_mod", spy_spoly_mod):
         res = segre_class(prob, seed=0)
     assert res.components == (chow.multiply(chow.multiply(
         chow.divisor(0), chow.divisor(2)), chow.divisor(4)),)
