@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 from . import linalg
-from .errors import (CodimOverflow, NoIntegerLift, NormalizationInconsistent,
-                     NotHomogeneous, RankMismatch, TooLarge)
+from .errors import (CodimOverflow, NormalizationInconsistent, NotHomogeneous,
+                     RankMismatch, TooLarge)
 from .exactpoly import GrevLex, Polynomial, monomials_of_total_degree
 from .groebner import Ideal, groebner_basis, normal_form
 
@@ -116,12 +117,10 @@ class ChowRing:
 
     def pic_to_chow(self, delta):
         """Divisor class with the given Picard multidegree, via an integer
-        lift through the grading matrix."""
+        lift through the grading matrix.  One always exists: the grading maps
+        Z^r onto the Picard lattice (DECISIONS.md entry 23)."""
         a = self.cox.ring.grading
         lift = linalg.solve_integer([list(row) for row in a], list(delta))
-        if lift is None:
-            raise NoIntegerLift("no integer divisor with degree %r"
-                                % (tuple(delta),))
         out = self.zero()
         for i, c in enumerate(lift):
             if c:
@@ -197,7 +196,7 @@ def _assemble(cox, ideal):
     leads = gb.leads
 
     def is_standard(m):
-        return not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+        return not any(all(map(le, lead, m)) for lead in leads)
 
     bases = []
     for p in range(k + 2):

@@ -27,8 +27,7 @@ EXIT_CODES = {
     "E_INPUT": 2, "E_PARSE": 2, "E_NOT_HOMOGENEOUS": 2,
     "E_ZERO_POLYNOMIAL": 2, "E_TOO_LARGE": 2,
     "E_FAN_INVALID": 3, "E_FAN_NOT_SMOOTH": 3, "E_FAN_NOT_COMPLETE": 3,
-    "E_INVALID_GRADING": 3, "E_NO_POSITIVE_GRADING": 3,
-    "E_NOT_PROJECTIVE": 3,
+    "E_INVALID_GRADING": 3, "E_NOT_PROJECTIVE": 3,
     "E_EMPTY_SUBSCHEME": 4, "E_WHOLE_SPACE": 4,
     "E_RETRIES_EXHAUSTED": 5,
 }

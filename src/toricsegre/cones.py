@@ -17,13 +17,15 @@ minimizer with every pairing at least 1 gives the ample class of
 from __future__ import annotations
 
 from . import linalg
-from .errors import InconsistentSystem, NotProjective
+from .errors import NotProjective
 from .exactpoly import monomials_of_degree
 
 
 def curve_functionals(cox):
     """Deduplicated wall functionals on the Picard lattice: integer vectors
-    w with w . A = c for each wall relation c (A the grading matrix)."""
+    w with w . A = c for each wall relation c (A the grading matrix).  The
+    rows of A are a Z-basis of the relation lattice, so each w exists
+    (DECISIONS.md entry 23)."""
     a = cox.ring.grading
     p = len(a)
     cols = [[a[i][j] for i in range(p)] for j in range(cox.fan.nrays)]
@@ -31,11 +33,6 @@ def curve_functionals(cox):
     seen = set()
     for c in cox.fan.walls:
         w = linalg.solve_integer(cols, list(c))
-        if w is None:
-            raise InconsistentSystem(
-                "wall relation %r is not a functional on the Picard lattice"
-                % (c,))
-        w = tuple(int(x) for x in w)
         if w not in seen:
             seen.add(w)
             out.append(w)
@@ -101,8 +98,6 @@ def find_ample(cox, functionals):
     """The least integer class pairing >= 1 with every wall curve (the
     ``curve_functionals`` of ``cox``), in the order of ``find_alpha``.
     Raises NotProjective if none exists."""
-    if cox.ring.pic_rank == 0:
-        raise NotProjective("trivial Picard lattice")
     return _least_class(functionals, [1] * len(functionals), cox)
 
 

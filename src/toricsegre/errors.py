@@ -59,11 +59,6 @@ class InvalidFan(ToricSegreError):
     code = "E_FAN_INVALID"
 
 
-class NoPositiveGrading(ToricSegreError):
-    """No heft vector exists; the grading is not positive."""
-    code = "E_NO_POSITIVE_GRADING"
-
-
 class InvalidGrading(ToricSegreError):
     """A user-supplied degree matrix is not a valid cokernel map."""
     code = "E_INVALID_GRADING"
@@ -86,11 +81,6 @@ class NormalizationInconsistent(ToricSegreError):
     """A candidate Chow presentation has a non-monic lead, or two maximal
     cones disagree on the degree normalization."""
     code = "E_CHOW_NORMALIZATION"
-
-
-class NoIntegerLift(ToricSegreError):
-    """A Picard class admits no integer divisor lift."""
-    code = "E_NO_INTEGER_LIFT"
 
 
 class CodimOverflow(ToricSegreError):

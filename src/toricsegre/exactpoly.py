@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import linalg
 from .errors import EmptyDegree, NotHomogeneous, ZeroPolynomial
-
-Monomial = tuple  # exponent vector, one entry per variable
-MultiDegree = tuple  # vector in Pic coordinates, one entry per grading row
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ class Polynomial:
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
@@ -282,7 +280,9 @@ def monomials_of_degree(delta, ctx):
     4.3): with e0 one integer solution of grading . e == delta and the
     columns of K a Z-basis of the grading's integer kernel, from its Smith
     form, they are the points e0 + K m >= 0, and Fourier-Motzkin lists the
-    m.  Finite because the grading has a heft (``fan.find_heft``).
+    m.  Finite because the grading of a validated fan has a heft
+    (DECISIONS.md entry 23); an unbounded variable makes
+    ``linalg.fm_integer_points`` raise ValueError rather than run forever.
     """
     grading = [list(row) for row in ctx.grading]
     e0 = linalg.solve_integer(grading, delta)

@@ -1,11 +1,13 @@
 """Fan data model and validation, Cox grading and chart dehomogenization.
 
 A fan is given by its primitive ray generators and its maximal cones (index
-sets).  Validation certifies smoothness (every maximal cone unimodular) and
-completeness (every wall relation is integral, see ``wall_relations``); the
-grading matrix is the cokernel projection of the ray matrix, computed by
-Smith normal form and canonicalized by row Hermite form; a heft vector,
-found by exact linear feasibility, certifies that the grading is positive.
+sets).  Validation certifies smoothness (every maximal cone unimodular),
+completeness (every wall relation is integral, see ``wall_relations``) and
+that the cones do not overlap; the grading matrix is the cokernel
+projection of the ray matrix, computed by Smith normal form and
+canonicalized by row Hermite form.  Because the rays of a validated fan
+positively span the space, every grading of it has a heft (DECISIONS.md
+entry 23), so no step below searches for one.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from operator import mul
 
 from . import linalg
-from .errors import (InvalidFan, InvalidGrading, NoPositiveGrading,
-                     NotComplete, NotSmooth)
+from .errors import InvalidFan, InvalidGrading, NotComplete, NotSmooth
 from .exactpoly import GrevLex, RingContext
 from .groebner import Ideal
 
@@ -106,19 +108,35 @@ class Fan:
 
 def validate_smooth_complete(fan):
     """Certify that the fan is smooth (every maximal cone has k rays and
-    index 1) and complete (every wall has its two cones on opposite sides,
-    see ``wall_relations``).  Raises with the offending cone or facet
-    otherwise."""
+    index 1), complete (every wall has its two cones on opposite sides,
+    see ``wall_relations``) and a fan (no two maximal cones overlap).
+    Raises with the offending cone or facet otherwise.
+
+    Once every wall is two-sided, the cones cover the space off their
+    codimension-2 faces the same number of times everywhere, so one point
+    inside the first cone decides whether they cover it once: the sum p of
+    its rays must lie in no other maximal cone.  The coordinates of p on a
+    cone's rays are p . B^-1 = p . v . u, from the Smith form u . B . v = I
+    of the cone's ray rows B that the index check computes."""
     k = fan.dim
+    inverses = []
     for cone in fan.max_cones:
         if len(cone) != k:
             raise NotSmooth("maximal cone %r does not have %d rays" % (cone, k),
                             cone=cone)
-        d, _u, _v = linalg.smith_normal_form([fan.rays[i] for i in cone])
+        d, u, v = linalg.smith_normal_form([fan.rays[i] for i in cone])
         index = prod(d[i][i] for i in range(k))
         if index != 1:
             raise NotSmooth("cone %r has index %d" % (cone, index), cone=cone)
+        inverses.append((u, v))
     fan.walls  # raises NotComplete unless every wall relation is integral
+    first = fan.max_cones[0]
+    p = [sum(col) for col in zip(*(fan.rays[i] for i in first))]
+    for cone, (u, v) in zip(fan.max_cones[1:], inverses[1:]):
+        pv = [sum(map(mul, p, col)) for col in zip(*v)]
+        if all(sum(map(mul, pv, col)) >= 0 for col in zip(*u)):
+            raise InvalidFan("maximal cones %r and %r overlap"
+                             % (first, cone), cone=cone)
     return True
 
 
@@ -180,20 +198,6 @@ def grading_matrix(fan):
     return tuple(tuple(row) for row in a)
 
 
-def find_heft(a):
-    """Integer h with h . a_col_i >= 1 for every column, by exact linear
-    feasibility, cleared of denominators.  Raises NoPositiveGrading if no
-    heft exists."""
-    rows = len(a)
-    system = [(col, -1) for col in zip(*a)]
-    point = linalg.fm_feasible_point(system, rows)
-    if point is None:
-        raise NoPositiveGrading("no heft vector exists for this grading")
-    mult = 1
-    for x in point:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    return tuple(int(x * mult) for x in point)
-
 
 def validate_degree_matrix(fan, degrees):
     """Check a user-supplied degree matrix: right shape, annihilates the
@@ -228,9 +232,8 @@ class CoxContext:
 
 
 def build_cox_context(fan, names=None, degrees=None):
-    """Cox ring of the fan: grading (canonical or user-supplied after
-    validation).  Raises NoPositiveGrading when the grading has no
-    heft."""
+    """Cox ring of the (validated) fan: grading canonical or user-supplied
+    after ``validate_degree_matrix``."""
     r = fan.nrays
     if names is None:
         names = tuple("z%d" % i for i in range(r))
@@ -244,7 +247,6 @@ def build_cox_context(fan, names=None, degrees=None):
         a = grading_matrix(fan)
     else:
         a = validate_degree_matrix(fan, degrees)
-    find_heft(a)
     return CoxContext(ring=RingContext(names=names, grading=a), fan=fan)
 
 

@@ -1,5 +1,5 @@
 """Exact linear algebra helpers: rational elimination, Smith and Hermite
-normal forms over the integers, and Fourier-Motzkin feasibility.
+normal forms over the integers, and Fourier-Motzkin elimination.
 
 Everything here works on lists of tuples and stays exact (ints and
 Fractions); the matrices involved are tiny (rays x dimension scale).
@@ -281,26 +281,6 @@ def _interval(stage, var, x):
         else:
             upper = bound if upper is None else min(upper, bound)
     return lower, upper
-
-
-def fm_feasible_point(system, nvars):
-    """An exact rational point satisfying every inequality, or None.
-
-    ``system`` is a list of (coefficient tuple of length nvars, constant)
-    meaning sum(a_i x_i) + c >= 0.
-    """
-    stages = fm_stages(system, nvars)
-    for coeffs, const in stages[-1]:
-        if const < 0:
-            return None
-    x = [Fraction(0)] * nvars
-    for var in reversed(range(nvars)):
-        lower, upper = _interval(stages[var], var, x)
-        if lower is not None:
-            x[var] = lower
-        elif upper is not None:
-            x[var] = min(upper, Fraction(0))
-    return tuple(x)
 
 
 def fm_integer_points(stages, tail):

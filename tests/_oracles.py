@@ -4,12 +4,12 @@ way, kept to check the ones it does."""
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from toricsegre import linalg
-from toricsegre.errors import NonIntegerCoefficient, NotComplete, NotSmooth
+from toricsegre.errors import (InvalidFan, NonIntegerCoefficient, NotComplete,
+                               NotSmooth)
 from toricsegre.exactpoly import GrevLex, Polynomial
-from toricsegre.fan import find_heft
 from toricsegre.groebner import (Ideal, _eliminate_extra_raw, _primitive,
                                  groebner_basis, saturate_ideal)
 
@@ -81,11 +81,33 @@ def _facet_normal(rows):
     return n
 
 
+def sheets_over_a_generic_point(fan):
+    """How many maximal cones contain the moment-curve point
+    (1, n, n^2, ...) for the least n >= 2 that lies on no hyperplane
+    spanned by k - 1 rays of a cone, with its coordinates on each cone's
+    rays by Cramer's rule.  Such an n exists: each coordinate is a nonzero
+    polynomial in n, as the moment curve spans the space."""
+    k = fan.dim
+    n = 2
+    while True:
+        w = [n ** j for j in range(k)]
+        coords = []
+        for cone in fan.max_cones:
+            rows = [list(fan.rays[i]) for i in cone]
+            d = _det(rows)
+            coords.append([_det(rows[:j] + [w] + rows[j + 1:]) / d
+                           for j in range(k)])
+        if all(x for xs in coords for x in xs):
+            return sum(all(x > 0 for x in xs) for xs in coords)
+        n += 1
+
+
 def validate_by_facet_normals(fan):
     """``fan.validate_smooth_complete`` as it was before it read the wall
     relations: each maximal cone has a rational determinant of +-1, each
     facet lies in exactly two maximal cones, and their extra rays pair with
-    a rational facet normal to opposite signs."""
+    a rational facet normal to opposite signs.  Then the cones must cover a
+    generic point once (``sheets_over_a_generic_point``)."""
     k = fan.dim
     for cone in fan.max_cones:
         if len(cone) != k:
@@ -117,7 +139,40 @@ def validate_by_facet_normals(fan):
                 "cones %r and %r do not lie on opposite sides of facet %r"
                 % (fan.max_cones[hits[0][0]], fan.max_cones[hits[1][0]], facet),
                 facet=facet)
+    sheets = sheets_over_a_generic_point(fan)
+    if sheets != 1:
+        raise InvalidFan("the maximal cones cover a generic point %d times"
+                         % sheets)
     return True
+
+
+def heft_from_positive_relation(cox):
+    """A heft of the grading of a complete fan, built as in the proof of
+    DECISIONS.md entry 23: each -u_i lies in a maximal cone, so
+    -u_i = sum_j a_j u_j with a_j >= 0, and u_i + sum_j a_j u_j = 0 is a
+    ray relation that is 1 at i and nonnegative elsewhere.  The sum c of
+    these r relations has every entry >= 1, and h with h . A = c is a heft,
+    cleared of denominators.  None when some -u_i lies in no maximal
+    cone or c is not in the row space of A."""
+    fan, a = cox.fan, cox.ring.grading
+    k = fan.dim
+    c = [Fraction(0)] * fan.nrays
+    for i, ray in enumerate(fan.rays):
+        for cone in fan.max_cones:
+            cols = [[fan.rays[j][l] for j in cone] for l in range(k)]
+            x = linalg.solve_linear_system(cols, [-v for v in ray])
+            if x is not None and min(x) >= 0:
+                break
+        else:
+            return None
+        c[i] += 1
+        for j, xj in zip(cone, x):
+            c[j] += xj
+    h = linalg.solve_linear_system([list(col) for col in zip(*a)], c)
+    if h is None:
+        return None
+    mult = lcm(*(x.denominator for x in h))
+    return tuple(int(x * mult) for x in h)
 
 
 def chow_ideal_by_solved_forms(cox, pivot_cone, order):
@@ -187,13 +242,15 @@ def saturate_by_intersection(I, J):
     return acc
 
 
-def monomials_by_heft_walk(delta, ctx):
+def monomials_by_heft_walk(delta, cox):
     """All exponent vectors e >= 0 with grading . e == delta, in
     lexicographic order, by backtracking variable by variable over the heft
-    simplex: each exponent is bounded by the residual heft of delta."""
+    simplex of ``heft_from_positive_relation``: each exponent is bounded by
+    the residual heft of delta."""
     delta = tuple(delta)
+    ctx = cox.ring
     r = ctx.nvars
-    heft = find_heft(ctx.grading)
+    heft = heft_from_positive_relation(cox)
     budget = sum(h * d for h, d in zip(heft, delta))
     if budget < 0:
         return []

@@ -12,9 +12,8 @@ from toricsegre import chow as chow_module
 from toricsegre import linalg
 from toricsegre.chow import (MAX_CHOW_ORDERS, _assemble, build_chow_ring,
                              chow_ranks)
-from toricsegre.errors import (CodimOverflow, NoIntegerLift,
-                               NormalizationInconsistent, RankMismatch,
-                               TooLarge)
+from toricsegre.errors import (CodimOverflow, NormalizationInconsistent,
+                               RankMismatch, TooLarge)
 from toricsegre.exactpoly import GrevLex, Polynomial, random_homogeneous
 from toricsegre.fan import Fan, build_cox_context, validate_smooth_complete
 from toricsegre.groebner import groebner_basis

@@ -191,6 +191,21 @@ def test_same_side_fan_diagnostic(tmp_path, capsys):
     assert "E_FAN_NOT_COMPLETE" in err
 
 
+def test_overlapping_cones_diagnostic(tmp_path, capsys):
+    """Five two-sided walls whose cones wind twice around the origin."""
+    doc = {
+        "rays": [[1, 0], [1, 1], [-1, 1], [-2, -1], [0, -1]],
+        "max_cones": [[0, 2], [2, 4], [4, 1], [1, 3], [3, 0]],
+        "ideal": ["z0"],
+    }
+    rc = cli.main(["--input", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "error E_FAN_INVALID" in captured.err
+    assert "(1, 3)" in captured.err  # names the overlapping cone
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     doc = dict(F1_DOC, ideal=["x0 + "])
     rc = cli.main(["--input", write_doc(tmp_path, doc)])

@@ -171,7 +171,7 @@ def test_monomials_of_degree_matches_heft_walk():
                                  for row in ctx.grading))
         for delta in degrees:
             assert list(monomials_of_degree(delta, ctx)) == \
-                monomials_by_heft_walk(delta, ctx), (ctx.names, delta)
+                monomials_by_heft_walk(delta, cox), (ctx.names, delta)
 
 
 def test_monomials_of_total_degree_lex():

@@ -1,11 +1,12 @@
 """Fan validation, gradings, irrelevant ideal, and chart dehomogenization."""
 
 import itertools
+import random
 import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricsegre import linalg
@@ -13,13 +14,14 @@ from toricsegre.errors import (InvalidFan, InvalidGrading, NotComplete,
                                NotSmooth)
 from toricsegre.exactpoly import Polynomial
 from toricsegre.fan import (Fan, build_cox_context, chart_dehomogenize,
-                            find_heft, grading_matrix,
-                            validate_smooth_complete, wall_relations)
+                            grading_matrix, validate_smooth_complete,
+                            wall_relations)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 
 from _fans import fan_library
-from _oracles import irrelevant_ideal, validate_by_facet_normals
+from _oracles import (heft_from_positive_relation, irrelevant_ideal,
+                      validate_by_facet_normals)
 
 
 def test_all_library_fans_validate():
@@ -64,6 +66,21 @@ def test_same_side_fan_not_complete():
     with pytest.raises(NotComplete) as exc:
         validate_by_facet_normals(fan)
     assert exc.value.details["facet"] == (0,)
+
+
+# Every wall is two-sided, but the five cones turn 135-162 degrees each,
+# 720 in all: they cover the plane twice.
+OVERLAPPING = (((1, 0), (1, 1), (-1, 1), (-2, -1), (0, -1)),
+               ((0, 2), (2, 4), (4, 1), (1, 3), (3, 0)))
+
+
+def test_overlapping_cones_rejected():
+    fan = Fan(*OVERLAPPING)
+    wall_relations(fan)  # every wall relation is integral
+    with pytest.raises(InvalidFan) as exc:
+        validate_smooth_complete(fan)
+    assert exc.value.details["cone"] == (1, 3)
+    assert "(0, 2)" in str(exc.value)
 
 
 def star_subdivide(rays, cones, face):
@@ -118,12 +135,13 @@ def generated_fans(draw):
 def _outcome(check, fan):
     try:
         check(fan)
-    except (NotSmooth, NotComplete) as exc:
+    except (NotSmooth, NotComplete, InvalidFan) as exc:
         return exc
     return None
 
 
 @given(generated_fans())
+@example(OVERLAPPING)
 @settings(max_examples=150, deadline=None)
 def test_validation_matches_facet_normal_oracle(data):
     rays, cones = data
@@ -149,21 +167,16 @@ def test_grading_matrix_p2():
     cox = projective_space(2)
     a = grading_matrix(cox.fan)
     assert a == ((1, 1, 1),)
-    assert find_heft(a) == (1,)
 
 
 def test_grading_matrix_annihilates_rays():
     for cox in fan_library().values():
         a = grading_matrix(cox.fan)
-        heft = find_heft(a)
         k = cox.fan.dim
         for row in a:
             for j in range(k):
                 assert sum(row[i] * cox.fan.rays[i][j]
                            for i in range(cox.fan.nrays)) == 0
-        # heft is positive on every variable degree
-        for i in range(cox.fan.nrays):
-            assert sum(h * row[i] for h, row in zip(heft, a)) >= 1
 
 
 def test_custom_degrees_validated():
@@ -237,6 +250,60 @@ def test_minimal_non_faces_20_rays_fast():
     assert all(len(c) == 2 for c in found)
     assert elapsed < 1.0
 
+
+
+def check_what_validation_proves(cox, rng):
+    """The facts of DECISIONS.md entry 23 that let the program skip a heft
+    search and three re-checks: the grading has a heft, every Picard class
+    lifts to an integer divisor, every wall relation is an integral
+    functional of the grading, and the Picard rank is at least 1."""
+    a = cox.ring.grading
+    r = cox.fan.nrays
+    assert cox.ring.pic_rank >= 1
+    heft = heft_from_positive_relation(cox)
+    assert heft is not None, cox.fan
+    for i in range(r):
+        assert sum(h * row[i] for h, row in zip(heft, a)) >= 1
+    for _ in range(5):
+        delta = [rng.randint(-5, 5) for _ in a]
+        lift = linalg.solve_integer([list(row) for row in a], delta)
+        assert lift is not None, (a, delta)
+        assert [sum(map(int.__mul__, row, lift)) for row in a] == delta
+    cols = [[row[j] for row in a] for j in range(r)]
+    for c in cox.fan.walls:
+        w = linalg.solve_integer(cols, list(c))
+        assert w is not None, (a, c)
+        assert tuple(sum(wi * row[j] for wi, row in zip(w, a))
+                     for j in range(r)) == c
+
+
+def test_validation_proves_heft_lift_and_functionals():
+    coxes = list(fan_library().values())
+    coxes += [build_cox_context(cyclic_surface(r)) for r in range(4, 13)]
+    rng = random.Random(23)
+    for cox in coxes:
+        assert validate_smooth_complete(cox.fan)
+        check_what_validation_proves(cox, rng)
+
+
+@given(generated_fans(), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_validated_generated_fans_have_heft_lift_and_functionals(data, t):
+    """On every generated fan that validates, with the canonical grading
+    and with a supplied one (the first row plus t times the last)."""
+    rays, cones = data
+    try:
+        fan = Fan(rays, cones)
+        validate_smooth_complete(fan)
+    except (InvalidFan, NotSmooth, NotComplete):
+        return
+    rng = random.Random(t)
+    cox = build_cox_context(fan)
+    check_what_validation_proves(cox, rng)
+    a = [list(row) for row in cox.ring.grading]
+    if len(a) > 1:
+        a[0] = [x + t * y for x, y in zip(a[0], a[-1])]
+        check_what_validation_proves(build_cox_context(fan, degrees=a), rng)
 
 def test_irrelevant_ideal_p2():
     cox = projective_space(2)

@@ -118,18 +118,11 @@ def test_in_integer_row_span():
     assert not linalg.in_integer_row_span(rows, (0, 0, 1))
 
 
-def test_fm_feasible_point_simplex():
-    # x >= 0, y >= 0, -x - y + 1 >= 0
-    system = [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]
-    p = linalg.fm_feasible_point(system, 2)
-    assert p is not None
-    for a, c in system:
-        assert sum(Fraction(ai) * pi for ai, pi in zip(a, p)) + c >= 0
-
-
 def test_fm_infeasible():
-    # x >= 1 and -x >= 0
-    assert linalg.fm_feasible_point([((1,), -1), ((-1,), 0)], 1) is None
+    # x >= 1 and -x >= 0: elimination leaves -1 >= 0, and no point
+    stages = linalg.fm_stages([((1,), -1), ((-1,), 0)], 1)
+    assert stages[-1] == [((0,), -1)]
+    assert list(linalg.fm_integer_points(stages, ())) == []
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
