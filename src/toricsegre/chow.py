@@ -119,8 +119,7 @@ class ChowRing:
         """Divisor class with the given Picard multidegree, via an integer
         lift through the grading matrix.  One always exists: the grading maps
         Z^r onto the Picard lattice (DECISIONS.md entry 23)."""
-        a = self.cox.ring.grading
-        lift = linalg.solve_integer([list(row) for row in a], list(delta))
+        (lift,) = linalg.solve_integer(self.cox.ring.grading, [delta])
         out = self.zero()
         for i, c in enumerate(lift):
             if c:

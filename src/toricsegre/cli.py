@@ -18,7 +18,7 @@ import sys
 from .chow import build_chow_ring, chow_ranks
 from .cones import curve_functionals, find_ample
 from .errors import InputError, ToricSegreError, ZeroPolynomial
-from .fan import Fan, build_cox_context, validate_smooth_complete
+from .fan import Fan, build_cox_context
 from .parser import is_name, parse_polynomial
 from .segre import DEFAULT_COEFF_BOUND, preprocess, segre_class
 
@@ -37,7 +37,7 @@ EXIT_CODES = {
 _OPTIONS = {
     "seed": (lambda v: type(v) is int, "an integer"),
     "coeff_bound": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "retries": (lambda v: type(v) is int, "an integer"),
+    "retries": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "format": (lambda v: v in ("human", "json"), "'human' or 'json'"),
 }
 
@@ -90,10 +90,10 @@ def load_document(text):
 
 
 def build_problem(doc):
-    """Fan validation, Cox/Chow construction, and ideal parsing."""
+    """Fan validation (in ``build_cox_context``), Cox/Chow construction,
+    and ideal parsing."""
     fan = Fan(tuple(tuple(v) for v in doc["rays"]),
               tuple(tuple(c) for c in doc["max_cones"]))
-    validate_smooth_complete(fan)
     cox = build_cox_context(fan, names=doc.get("variables"),
                             degrees=doc.get("degrees"))
     chow = build_chow_ring(cox)

@@ -23,20 +23,12 @@ from .exactpoly import monomials_of_degree
 
 def curve_functionals(cox):
     """Deduplicated wall functionals on the Picard lattice: integer vectors
-    w with w . A = c for each wall relation c (A the grading matrix).  The
-    rows of A are a Z-basis of the relation lattice, so each w exists
-    (DECISIONS.md entry 23)."""
-    a = cox.ring.grading
-    p = len(a)
-    cols = [[a[i][j] for i in range(p)] for j in range(cox.fan.nrays)]
-    out = []
-    seen = set()
-    for c in cox.fan.walls:
-        w = linalg.solve_integer(cols, list(c))
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return tuple(out)
+    w with w . A = c for each wall relation c (A the grading matrix), in
+    wall order.  The rows of A are a Z-basis of the relation lattice, so
+    each w exists (DECISIONS.md entry 23), and it is unique because the
+    rows of A are independent.  One Smith form of A serves every wall."""
+    return tuple(dict.fromkeys(
+        linalg.solve_integer(list(zip(*cox.ring.grading)), cox.fan.walls)))
 
 
 def is_nef(delta, functionals):
@@ -65,7 +57,7 @@ def _least_class(functionals, targets, cox):
     every wall curve, which is exactly when the projection bounds z from
     above or keeps a row without z.
     """
-    apex = linalg.solve_integer(functionals, targets)
+    (apex,) = linalg.solve_integer(functionals, [targets])
     if apex is not None and all(_pairing(w, apex) == t
                                 for w, t in zip(functionals, targets)):
         return tuple(int(x) for x in apex)

@@ -285,7 +285,7 @@ def monomials_of_degree(delta, ctx):
     ``linalg.fm_integer_points`` raise ValueError rather than run forever.
     """
     grading = [list(row) for row in ctx.grading]
-    e0 = linalg.solve_integer(grading, delta)
+    (e0,) = linalg.solve_integer(grading, [delta])
     if e0 is None:
         return ()
     d, _u, v = linalg.smith_normal_form(grading)

@@ -3,7 +3,8 @@
 A fan is given by its primitive ray generators and its maximal cones (index
 sets).  Validation certifies smoothness (every maximal cone unimodular),
 completeness (every wall relation is integral, see ``wall_relations``) and
-that the cones do not overlap; the grading matrix is the cokernel
+that the cones do not overlap; ``build_cox_context`` runs it first, and
+the fan keeps the verdict.  The grading matrix is the cokernel
 projection of the ray matrix, computed by Smith normal form and
 canonicalized by row Hermite form.  Because the rays of a validated fan
 positively span the space, every grading of it has a heft (DECISIONS.md
@@ -72,6 +73,12 @@ class Fan:
         """``wall_relations`` of this fan, walked once."""
         return wall_relations(self)
 
+    @cached_property
+    def validated(self):
+        """True once ``validate_smooth_complete`` has passed on this fan,
+        so that it runs once; a failed validation keeps nothing."""
+        return _certify(self)
+
     def cone_complement(self, cone):
         return tuple(i for i in range(self.nrays) if i not in set(cone))
 
@@ -117,7 +124,15 @@ def validate_smooth_complete(fan):
     inside the first cone decides whether they cover it once: the sum p of
     its rays must lie in no other maximal cone.  The coordinates of p on a
     cone's rays are p . B^-1 = p . v . u, from the Smith form u . B . v = I
-    of the cone's ray rows B that the index check computes."""
+    of the cone's ray rows B that the index check computes.
+
+    The verdict is kept on the fan (``Fan.validated``), so a second call
+    on the same fan costs nothing."""
+    return fan.validated
+
+
+def _certify(fan):
+    """The checks of ``validate_smooth_complete``."""
     k = fan.dim
     inverses = []
     for cone in fan.max_cones:
@@ -166,7 +181,7 @@ def wall_relations(fan):
         (ci, u), (cj, up) = hits
         target = [a + b for a, b in zip(fan.rays[u], fan.rays[up])]
         cols = [[fan.rays[i][j] for i in facet] for j in range(k)]
-        b = linalg.solve_integer(cols, target)
+        (b,) = linalg.solve_integer(cols, [target])
         if b is None:
             raise NotComplete(
                 "cones %r and %r do not lie on opposite sides of facet %r"
@@ -232,8 +247,10 @@ class CoxContext:
 
 
 def build_cox_context(fan, names=None, degrees=None):
-    """Cox ring of the (validated) fan: grading canonical or user-supplied
-    after ``validate_degree_matrix``."""
+    """Cox ring of the fan: ``validate_smooth_complete`` first, then the
+    variable names, then the grading, canonical or user-supplied after
+    ``validate_degree_matrix``."""
+    validate_smooth_complete(fan)
     r = fan.nrays
     if names is None:
         names = tuple("z%d" % i for i in range(r))

@@ -410,11 +410,16 @@ def normal_form(f, G):
 
     Raises NonIntegerCoefficient when a lead coefficient of ``G`` does not
     divide the coefficient it has to cancel.
+
+    A lead divides a term only if its total degree is at most the term's,
+    and a lead of the same degree only if it is the term, so only leads of
+    lower degree get the divisibility test and the others are compared
+    with the term.  The scan keeps ascending-lead order, so under any
+    order the reducer is the first whose lead divides.
     """
     key = G.order.key
-    # the elements in ascending-lead order; the first whose lead divides
-    # reduces
-    reducers = [(lm, g.coeffs)
+    # the elements in ascending-lead order, with the degree of each lead
+    reducers = [(lm, sum(lm), g.coeffs)
                 for lm, g in zip(reversed(G.leads), reversed(G.elements))]
     num = dict(f.coeffs)
     heap = [(key(m), m) for m in num]
@@ -425,8 +430,9 @@ def normal_form(f, G):
         c = num.pop(m, 0)
         if not c:
             continue
-        for lm, q in reducers:
-            if all(map(le, lm, m)):
+        dm = sum(m)
+        for lm, dl, q in reducers:
+            if all(map(le, lm, m)) if dl < dm else lm == m:
                 break
         else:
             res[m] = c

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor, gcd
+from operator import mul
 
 
 # --- rational elimination --------------------------------------------------
@@ -189,31 +190,31 @@ def row_hermite(mat):
     return m, u
 
 
-def solve_integer(a_rows, b):
-    """One integer solution x of A x = b, or None.
+def solve_integer(a_rows, rhs):
+    """One integer solution x of A x = b for each right-hand side b in
+    ``rhs``, in order; None for a b with none.
 
-    Uses the Smith form: with u A v = d, solve d y = u b and set x = v y.
+    One Smith form serves them all: with u A v = d, solve d y = u b and
+    set x = v y.
     """
-    nrows = len(a_rows)
     ncols = len(a_rows[0]) if a_rows else 0
     d, u, v = smith_normal_form(a_rows)
-    ub = [sum(u[i][j] * b[j] for j in range(nrows)) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < ncols else 0
-        if di:
-            if ub[i] % di:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return tuple(sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols))
+    diag = [d[i][i] if i < ncols else 0 for i in range(len(a_rows))]
+    out = []
+    for b in rhs:
+        ub = [sum(map(mul, row, b)) for row in u]
+        if any(x % di if di else x for x, di in zip(ub, diag)):
+            out.append(None)
+            continue
+        y = [x // di if di else 0 for x, di in zip(ub, diag)]
+        out.append(tuple(sum(map(mul, row, y)) for row in v))
+    return tuple(out)
 
 
 def in_integer_row_span(rows, target):
     """Whether ``target`` is an integer combination of ``rows``."""
     cols = [[row[j] for row in rows] for j in range(len(target))]
-    return solve_integer(cols, list(target)) is not None
+    return solve_integer(cols, [target])[0] is not None
 
 
 # --- Fourier-Motzkin -------------------------------------------------------

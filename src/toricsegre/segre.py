@@ -321,13 +321,15 @@ def _attempt(problem, alpha, seed, attempt, prime, coeff_bound):
                                       beta_rows=rows, gammas=gammas))
         classes[d] = cls
     alpha_class = chow.pic_to_chow(alpha)
+    powers = [chow.one()]  # alpha^0 .. alpha^k
+    for _ in range(k):
+        powers.append(chow.multiply(powers[-1], alpha_class))
     components = []
     for i in range(n + 1):
         m = c + i
-        val = chow.power(alpha_class, m) - classes[m]
+        val = powers[m] - classes[m]
         for j in range(i):
-            term = chow.multiply(chow.power(alpha_class, i - j),
-                                 components[j])
+            term = chow.multiply(powers[i - j], components[j])
             val = val - term * comb(m, i - j)
         components.append(chow.reduce(val))
     total = chow.zero()
@@ -342,10 +344,13 @@ def _attempt(problem, alpha, seed, attempt, prime, coeff_bound):
 def segre_class(problem, seed=0, coeff_bound=DEFAULT_COEFF_BOUND, retries=5):
     """Push-forward Segre class of the subscheme, retrying with fresh
     randomness and a new prime when a draw or a prime is degenerate.  The
-    result lists the failures of the attempts before it."""
+    result lists the failures of the attempts before it.  Raises
+    ValueError when ``retries`` is below 1."""
+    if retries < 1:
+        raise ValueError("retries must be at least 1, not %r" % (retries,))
     alpha = find_alpha(problem.degrees, problem.cox, problem.functionals)
     failures = []
-    for attempt, prime in zip(range(max(1, retries)), _attempt_primes()):
+    for attempt, prime in zip(range(retries), _attempt_primes()):
         try:
             result = _attempt(problem, alpha, seed, attempt, prime,
                               coeff_bound)
@@ -354,5 +359,5 @@ def segre_class(problem, seed=0, coeff_bound=DEFAULT_COEFF_BOUND, retries=5):
             continue
         return replace(result, failures=tuple(failures))
     raise RetriesExhausted(
-        "all %d attempts failed; last: %s" % (max(1, retries), failures[-1]),
+        "all %d attempts failed; last: %s" % (retries, failures[-1]),
         failures=tuple(failures))

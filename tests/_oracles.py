@@ -190,8 +190,8 @@ def chow_ideal_by_solved_forms(cox, pivot_cone, order):
             tuple(1 if i in nf else 0 for i in range(r))))
     pivot_rays = [fan.rays[i] for i in pivot_cone]
     for l in range(k):
-        m = linalg.solve_integer(pivot_rays,
-                                 [1 if j == l else 0 for j in range(k)])
+        (m,) = linalg.solve_integer(pivot_rays,
+                                    [[1 if j == l else 0 for j in range(k)]])
         lin = Polynomial.zero(r)
         for i in range(r):
             c = sum(int(mj) * fan.rays[i][j] for j, mj in enumerate(m))

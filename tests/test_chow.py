@@ -93,7 +93,7 @@ def test_pic_to_chow_round_trip():
         for delta in ((1,) * len(a), tuple(range(1, len(a) + 1))):
             cls = chow.pic_to_chow(delta)
             # re-read the multidegree from any integer divisor lift
-            lift = linalg.solve_integer([list(r) for r in a], list(delta))
+            (lift,) = linalg.solve_integer(a, [delta])
             assert lift is not None
             assert chow.codim_of(cls) == 1 or cls.is_zero()
 

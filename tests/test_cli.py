@@ -320,6 +320,24 @@ def test_missing_file(tmp_path, capsys):
         assert "E_INPUT" in capsys.readouterr().err
 
 
+def test_retries_below_one_exit_code(tmp_path, capsys):
+    """Fewer than one attempt is refused, from the document and from the
+    flag, before any work: exit 2, E_INPUT, nothing on stdout."""
+    for retries in (0, -3):
+        doc = dict(F1_DOC, options={"retries": retries})
+        argvs = (["--input", write_doc(tmp_path, doc, "option.json")],
+                 ["--input", write_doc(tmp_path, F1_DOC), "--retries",
+                  str(retries)])
+        for argv in argvs:
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("error E_INPUT: option 'retries' must be an integer "
+                    ">= 1, not %d" % retries) in captured.err
+    assert cli.main(["--input", write_doc(tmp_path, F1_DOC), "--retries",
+                     "1"]) == 0
+
+
 def test_default_variable_names(tmp_path, capsys):
     doc = {k: v for k, v in F1_DOC.items()
            if k not in ("variables", "degrees")}

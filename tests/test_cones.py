@@ -5,11 +5,14 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsegre import fan as fan_module
+from toricsegre import linalg
 from toricsegre.chow import build_chow_ring
 from toricsegre.cones import curve_functionals, find_alpha, find_ample, is_nef
-from toricsegre.errors import NotProjective
+from toricsegre.errors import InvalidFan, NotComplete, NotProjective, NotSmooth
 from toricsegre.exactpoly import Polynomial, monomials_of_degree
 from toricsegre.fan import (Fan, build_cox_context, validate_smooth_complete,
                             wall_relations)
@@ -18,6 +21,7 @@ from toricsegre.library import (hirzebruch, product_p1_cubed,
 from toricsegre.segre import preprocess
 
 from _fans import fan_library
+from test_fan import generated_fans
 
 FIVE_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1))
 EIGHT_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
@@ -228,3 +232,44 @@ def test_no_positive_class_raises_not_projective():
         find_alpha([(0,), (1,)], cox, w)
     with pytest.raises(NotProjective):
         find_ample(cox, w)
+
+
+def assert_functionals_solve_each_wall(cox):
+    """``curve_functionals`` lists, without repeats and in wall order, the
+    solution of w . A = c that a solve of each wall c alone finds."""
+    a = cox.ring.grading
+    cols = [list(col) for col in zip(*a)]
+    expected = []
+    for c in cox.fan.walls:
+        (w,) = linalg.solve_integer(cols, [c])
+        assert tuple(sum(wi * row[j] for wi, row in zip(w, a))
+                     for j in range(cox.fan.nrays)) == c
+        if w not in expected:
+            expected.append(w)
+    assert curve_functionals(cox) == tuple(expected)
+
+
+def test_functionals_match_per_wall_solves_on_library_fans():
+    coxes = list(fan_library().values())
+    coxes += [cyclic_surface(rays) for rays in (EIGHT_RAYS, TWELVE_RAYS)]
+    # F_1 with its worked-example degrees and with the canonical grading
+    coxes += [hirzebruch(1), build_cox_context(hirzebruch(1).fan)]
+    for cox in coxes:
+        assert_functionals_solve_each_wall(cox)
+
+
+@given(generated_fans(), st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_functionals_match_per_wall_solves_on_generated_fans(data, t):
+    """With the canonical grading and with a supplied one (the first row
+    plus t times the last)."""
+    try:
+        fan = Fan(*data)
+        cox = build_cox_context(fan)
+    except (InvalidFan, NotSmooth, NotComplete):
+        return
+    assert_functionals_solve_each_wall(cox)
+    a = [list(row) for row in cox.ring.grading]
+    if len(a) > 1:
+        a[0] = [x + t * y for x, y in zip(a[0], a[-1])]
+        assert_functionals_solve_each_wall(build_cox_context(fan, degrees=a))

@@ -68,6 +68,34 @@ def test_same_side_fan_not_complete():
     assert exc.value.details["facet"] == (0,)
 
 
+def test_cox_context_validates_its_fan_once(monkeypatch):
+    """``build_cox_context`` validates the fan before it reads names or
+    degrees: a fan with a one-cone facet (and so no heft) raises
+    NotComplete, a non-smooth fan NotSmooth even with too few names.  A
+    fan that passed keeps its verdict, so validating it again computes no
+    Smith form; one that failed keeps nothing and fails again."""
+    one_sided = Fan(((1, 0), (0, 1), (1, 1)), ((0, 2), (2, 1)))
+    for _ in range(2):
+        with pytest.raises(NotComplete) as exc:
+            build_cox_context(one_sided)
+        assert exc.value.details["facet"] == (0,)
+    with pytest.raises(NotSmooth):
+        build_cox_context(Fan(((1, 0), (1, 2), (-1, -1), (0, -1), (-1, 1)),
+                              ((0, 1), (1, 4), (4, 2), (2, 3), (3, 0))),
+                          names=("a",))
+    smith = []
+    form = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda m: smith.append(m) or form(m))
+    library_fan = hirzebruch(2).fan
+    fan = Fan(library_fan.rays, library_fan.max_cones)  # not yet validated
+    build_cox_context(fan)
+    assert len(smith) > len(fan.max_cones)
+    del smith[:]
+    assert validate_smooth_complete(fan)
+    assert smith == []
+
+
 # Every wall is two-sided, but the five cones turn 135-162 degrees each,
 # 720 in all: they cover the plane twice.
 OVERLAPPING = (((1, 0), (1, 1), (-1, 1), (-2, -1), (0, -1)),
@@ -266,12 +294,12 @@ def check_what_validation_proves(cox, rng):
         assert sum(h * row[i] for h, row in zip(heft, a)) >= 1
     for _ in range(5):
         delta = [rng.randint(-5, 5) for _ in a]
-        lift = linalg.solve_integer([list(row) for row in a], delta)
+        (lift,) = linalg.solve_integer(a, [delta])
         assert lift is not None, (a, delta)
         assert [sum(map(int.__mul__, row, lift)) for row in a] == delta
     cols = [[row[j] for row in a] for j in range(r)]
     for c in cox.fan.walls:
-        w = linalg.solve_integer(cols, list(c))
+        (w,) = linalg.solve_integer(cols, [c])
         assert w is not None, (a, c)
         assert tuple(sum(wi * row[j] for wi, row in zip(w, a))
                      for j in range(r)) == c

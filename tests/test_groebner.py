@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricsegre import groebner
+from toricsegre.chow import build_chow_ring
 from toricsegre.errors import NonIntegerCoefficient, NotZeroDimensional
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
                                   RingContext, monomials_of_degree,
@@ -24,6 +25,7 @@ from _fans import fan_library
 from _oracles import (grevlex_ideal, intersect, irrelevant_ideal,
                       normal_form_by_scan, reduce_by_scan,
                       vector_space_dimension_by_box)
+from test_cones import EIGHT_RAYS, TWELVE_RAYS, cyclic_surface
 from test_exactpoly import leads, orders, polys
 from test_segre import time_limit
 
@@ -301,6 +303,29 @@ def test_heap_reduction_matches_scan_oracle(data):
     for f in data.draw(st.lists(polys(nvars), min_size=1, max_size=4)):
         assert (_terms_or_error(normal_form, f, G)
                 == _terms_or_error(normal_form_by_scan, f, G))
+
+
+def test_normal_form_matches_scan_oracle_on_chow_bases():
+    """The Chow bases of the 8- and 12-ray surfaces have many leads of one
+    degree, which the small random bases above lack.  Random products of
+    one to three divisor classes, each a combination of the D_i taken raw
+    or in normal form, reduce term for term as the scan oracle reduces
+    them."""
+    rng = random.Random(24)
+    for rays in (EIGHT_RAYS, TWELVE_RAYS):
+        chow = build_chow_ring(cyclic_surface(rays))
+        G = chow.gb
+        assert sum(sum(lm) == 2 for lm in G.leads) > len(rays)
+        for _ in range(60):
+            f = chow.one() * rng.randint(1, 5)
+            for _ in range(rng.randint(1, 3)):
+                d = chow.zero()
+                for i in rng.sample(range(chow.nvars), rng.randint(1, 4)):
+                    d = d + Polynomial.variable(chow.nvars, i) * rng.randint(
+                        -3, 3)
+                f = f * (d if rng.random() < 0.5 else chow.reduce(d))
+            assert (_terms_or_error(normal_form, f, G)
+                    == _terms_or_error(normal_form_by_scan, f, G))
 
 
 @given(st.data())

@@ -99,7 +99,7 @@ def test_row_hermite_properties(mat):
 def test_solve_integer_is_exact_solution(mat, x):
     x = x[:len(mat[0])] + [0] * (len(mat[0]) - len(x))
     b = [sum(r * xi for r, xi in zip(row, x)) for row in mat]
-    sol = linalg.solve_integer(mat, b)
+    (sol,) = linalg.solve_integer(mat, [b])
     assert sol is not None
     assert all(isinstance(s, int) or getattr(s, "denominator", 1) == 1
                for s in sol)
@@ -108,7 +108,21 @@ def test_solve_integer_is_exact_solution(mat, x):
 
 def test_solve_integer_no_solution():
     # 2x = 1 has no integer solution
-    assert linalg.solve_integer([[2]], [1]) is None
+    assert linalg.solve_integer([[2]], [[1]]) == (None,)
+
+
+@given(matrices(), st.lists(st.lists(small_int, min_size=1, max_size=4),
+                            max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_solve_integer_takes_several_right_hand_sides(mat, bs):
+    """Solving several right-hand sides at once gives each one's own
+    solution, None included, in order."""
+    bs = [(b * len(mat))[:len(mat)] for b in bs]
+    sols = linalg.solve_integer(mat, bs)
+    assert sols == tuple(linalg.solve_integer(mat, [b])[0] for b in bs)
+    for b, sol in zip(bs, sols):
+        if sol is not None:
+            assert [sum(map(int.__mul__, row, sol)) for row in mat] == b
 
 
 def test_in_integer_row_span():

@@ -21,8 +21,8 @@ from toricsegre.groebner import (Ideal, groebner_basis, saturate_ideal,
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
-from toricsegre import groebner, segre
-from toricsegre.segre import (DEFAULT_COEFF_BOUND, _attempt_primes,
+from toricsegre import cli, groebner, segre
+from toricsegre.segre import (DEFAULT_COEFF_BOUND, _attempt, _attempt_primes,
                               pick_sections, preprocess, residual_class,
                               segre_class, zero_dim_length)
 
@@ -31,6 +31,7 @@ from _oracles import (grevlex_ideal, intersect, irrelevant_ideal,
 from test_fan import star_subdivide
 from test_cones import (EIGHT_RAYS, FIVE_RAYS, TWELVE_RAYS,
                         cyclic_surface)
+from regenerate_golden import PROBLEMS
 
 
 def setup(cox, *texts):
@@ -455,6 +456,47 @@ def test_attempt_primes_count_down_below_2_to_the_31():
     for prime in itertools.islice(_attempt_primes(), 12):
         p = sympy.prevprime(p)
         assert prime == p
+
+
+# the two torus-fixed points of the benchmark: Cox context, generators
+BENCHMARK_POINTS = {
+    "point_p1_cubed": (product_p1_cubed, ("x0", "y0", "z0")),
+    "point_5_ray_surface": (lambda: cyclic_surface(FIVE_RAYS), ("z0", "z1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    [p.stem for p in PROBLEMS.glob("*.json")] + list(BENCHMARK_POINTS)))
+def test_attempt_over_z_matches_attempt_mod_p(name):
+    """Whole attempts at seed 0 on the problem documents of
+    ``perfbench/problems`` and the benchmark's points: attempt 0 with its
+    Groebner work over Z and over GF(p) for the first attempt prime gives
+    the same Segre class and the same residual point counts (DECISIONS.md
+    entry 22)."""
+    if name in BENCHMARK_POINTS:
+        make_cox, texts = BENCHMARK_POINTS[name]
+        cox = make_cox()
+        chow = build_chow_ring(cox)
+        gens = [parse_polynomial(t, cox.ring) for t in texts]
+    else:
+        cox, chow, gens = cli.build_problem(cli.load_document(
+            (PROBLEMS / (name + ".json")).read_text()))
+    problem = preprocess(cox, chow, gens)
+    alpha = find_alpha(problem.degrees, cox, problem.functionals)
+    prime = next(_attempt_primes())
+    over_z, mod_p = (_attempt(problem, alpha, 0, 0, p, DEFAULT_COEFF_BOUND)
+                     for p in (None, prime))
+    assert mod_p.components == over_z.components, name
+    assert ([rd.gammas for rd in mod_p.residuals]
+            == [rd.gammas for rd in over_z.residuals]), name
+
+
+def test_retries_below_one_are_refused():
+    _chow, prob = setup(projective_space(2), "x0")
+    for retries in (0, -3):
+        with pytest.raises(ValueError):
+            segre_class(prob, retries=retries)
+    assert segre_class(prob, retries=1).attempt == 0
 
 
 def test_unlucky_prime_is_retried(monkeypatch):
