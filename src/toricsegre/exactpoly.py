@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter
 
 from . import linalg
 from .errors import EmptyDegree, NotHomogeneous, ZeroPolynomial
@@ -50,6 +50,25 @@ class RingContext:
 
 # --- monomial orders -------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _grevlex_key(perm):
+    """The grevlex key on ``perm``: the exponents are taken by one
+    ``itemgetter`` call, ``e[::-1]`` for the identity perm, which is also
+    the perm of one variable or none, where ``itemgetter`` of the indices
+    would return a bare int or fail.  Orders on one perm share the
+    function, so an order kept with a basis holds no closure of its own
+    (DECISIONS.md entry 25)."""
+    if perm == tuple(range(len(perm))):
+        get = itemgetter(slice(None, None, -1))
+    else:
+        get = itemgetter(*reversed(perm))
+
+    def key(e):
+        return (-sum(e),) + get(e)
+
+    return key
+
+
 class GrevLex:
     """Graded reverse lexicographic order.
 
@@ -57,18 +76,18 @@ class GrevLex:
     from its last entry backwards: the first variable where the exponents
     differ decides, and the larger exponent there makes the smaller
     monomial.
+
+    ``key(e)`` is a flat int tuple, leading monomial first: the negated
+    total degree, then the exponents of ``perm`` in reverse.  It is the
+    function ``_grevlex_key(perm)`` set on the instance, so a key costs
+    one Python frame.
     """
 
-    __slots__ = ("perm", "_rev")
+    __slots__ = ("perm", "key")
 
     def __init__(self, perm):
         self.perm = tuple(perm)
-        self._rev = tuple(reversed(self.perm))
-
-    def key(self, e):
-        """Flat int tuple, leading monomial first: the negated total degree,
-        then the exponents of ``perm`` in reverse."""
-        return (-sum(e), *map(e.__getitem__, self._rev))
+        self.key = _grevlex_key(self.perm)
 
     def __repr__(self):
         return "GrevLex(perm=%r)" % (self.perm,)
@@ -93,7 +112,8 @@ class BlockOrder:
 
     def key(self, e):
         """Flat int tuple, leading monomial first: each block's negated
-        total degree followed by its exponents in reverse."""
+        total degree followed by its exponents in reverse.  Kept on the
+        mapped ``e.__getitem__`` (DECISIONS.md entry 25)."""
         get = e.__getitem__
         return (-sum(map(get, self.front)), *map(get, self._front_rev),
                 -sum(map(get, self.rest)), *map(get, self._rest_rev))
@@ -278,17 +298,19 @@ def monomials_of_degree(delta, ctx):
 
     These are the lattice points of the polytope P_delta (Cox-Little-Schenck
     4.3): with e0 one integer solution of grading . e == delta and the
-    columns of K a Z-basis of the grading's integer kernel, from its Smith
-    form, they are the points e0 + K m >= 0, and Fourier-Motzkin lists the
-    m.  Finite because the grading of a validated fan has a heft
-    (DECISIONS.md entry 23); an unbounded variable makes
-    ``linalg.fm_integer_points`` raise ValueError rather than run forever.
+    columns of K a Z-basis of the grading's integer kernel, they are the
+    points e0 + K m >= 0, and Fourier-Motzkin lists the m.  One Smith form
+    u . grading . v = d gives both: e0 = v y for d y = u delta, and K is
+    the columns of v past the rank.  Finite because the grading of a
+    validated fan has a heft (DECISIONS.md entry 23); an unbounded
+    variable makes ``linalg.fm_integer_points`` raise ValueError rather
+    than run forever.
     """
-    grading = [list(row) for row in ctx.grading]
-    (e0,) = linalg.solve_integer(grading, [delta])
+    form = linalg.smith_normal_form([list(row) for row in ctx.grading])
+    (e0,) = linalg.solve_by_smith_form(form, ctx.nvars, [delta])
     if e0 is None:
         return ()
-    d, _u, v = linalg.smith_normal_form(grading)
+    d, _u, v = form
     rank = sum(1 for i in range(min(len(d), ctx.nvars)) if d[i][i])
     kernel = [row[rank:] for row in v]
     stages = linalg.fm_stages(list(zip(kernel, e0)), ctx.nvars - rank)

@@ -20,8 +20,12 @@ Exponent tuples are combined by builtins mapped over them, so the loop
 over exponents runs in C: a product or shift is ``tuple(map(add, m,
 shift))`` with the shift ``tuple(map(sub, l, lm))`` built once per call,
 divisibility is ``all(map(le, lm, m))``, written inline in the reducer
-scans, and disjoint leads are ``not any(map(mul, a, b))``; the order
-keys map ``e.__getitem__`` (DECISIONS.md entry 21).
+scans, and disjoint leads are ``not any(map(mul, a, b))`` (DECISIONS.md
+entry 21).  The two kernels of pair selection, which runs once per
+queued pair at every step, take one pass each: an lcm is one list
+comprehension, and a ``GrevLex`` key takes its exponents by one
+``itemgetter`` call; ``BlockOrder.key`` still maps ``e.__getitem__``
+(DECISIONS.md entry 25).
 
 An ideal is its generators, its variable names and one monomial order,
 and it holds its one reduced basis for that order.  The basis is computed
@@ -80,7 +84,7 @@ def _monic(p, lead, prime):
 
 
 def _monomial_lcm(a, b):
-    return tuple(map(max, a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def _spoly(f, lf, g, lg):

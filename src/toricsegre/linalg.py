@@ -198,8 +198,15 @@ def solve_integer(a_rows, rhs):
     set x = v y.
     """
     ncols = len(a_rows[0]) if a_rows else 0
-    d, u, v = smith_normal_form(a_rows)
-    diag = [d[i][i] if i < ncols else 0 for i in range(len(a_rows))]
+    return solve_by_smith_form(smith_normal_form(a_rows), ncols, rhs)
+
+
+def solve_by_smith_form(form, ncols, rhs):
+    """``solve_integer`` for a matrix A of ``ncols`` columns, given its
+    Smith form ``form`` = (d, u, v), for a caller that reads the form as
+    well."""
+    d, u, v = form
+    diag = [d[i][i] if i < ncols else 0 for i in range(len(d))]
     out = []
     for b in rhs:
         ub = [sum(map(mul, row, b)) for row in u]

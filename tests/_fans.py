@@ -1,4 +1,5 @@
-"""The named library fans the tests run over."""
+"""The named library fans the tests run over, and the star subdivision
+that generates fans from them."""
 
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
@@ -17,3 +18,19 @@ def fan_library():
         "P1xP1xP1": product_p1_cubed(),
         "P2xP1": threefold_p2_x_p1(),
     }
+
+
+def star_subdivide(rays, cones, face):
+    """Star subdivision along a face (two or more rays of one maximal
+    cone): the new ray is the sum of the face's rays, and each maximal cone
+    containing the face gives way to the cones that trade one face ray for
+    it.  Smooth and complete in, smooth and complete out."""
+    new = len(rays)
+    out = []
+    for cone in cones:
+        if set(face) <= set(cone):
+            out.extend(tuple(new if j == i else j for j in cone)
+                       for i in face)
+        else:
+            out.append(cone)
+    return rays + (tuple(map(sum, zip(*(rays[i] for i in face)))),), out

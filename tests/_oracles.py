@@ -23,10 +23,16 @@ def _monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def monomial_lcm_by_max(a, b):
+    """``groebner._monomial_lcm`` as it was before its one-pass
+    comprehension: ``max`` of each pair of exponents."""
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def grevlex_key_by_comprehension(order, e):
-    """``GrevLex.key`` as it was before it mapped ``e.__getitem__``: the
-    negated total degree, then the exponents of ``order.perm`` in
-    reverse, by a list comprehension."""
+    """``GrevLex.key`` as it was before it took the exponents by
+    ``itemgetter``: the negated total degree, then the exponents of
+    ``order.perm`` in reverse, by a list comprehension."""
     return (-sum(e), *[e[i] for i in reversed(order.perm)])
 
 

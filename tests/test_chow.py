@@ -21,10 +21,9 @@ from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
 
-from _fans import fan_library
+from _fans import fan_library, star_subdivide
 from _oracles import _det, chow_ideal_by_solved_forms, irrelevant_ideal
 from test_cones import EIGHT_RAYS, TWELVE_RAYS, cyclic_surface
-from test_fan import star_subdivide
 from test_segre import time_limit
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toricsegre import linalg
 from toricsegre.errors import NotHomogeneous
 from toricsegre.exactpoly import (BlockOrder, GrevLex, Polynomial,
                                   RingContext, monomials_of_degree,
@@ -79,7 +80,18 @@ def keyed_exponents(draw):
     return e, BlockOrder(front, nvars)
 
 
+CHOW_SHAPED_PERM = (3, 11) + tuple(i for i in range(16) if i not in (3, 11))
+
+
 @given(keyed_exponents())
+@example((tuple(range(7, 23)), GrevLex(CHOW_SHAPED_PERM)))
+@example(((5, 0, 2, 9, 1), GrevLex(range(5))))
+@example(((5, 0, 2, 9, 1), GrevLex((4, 3, 2, 1, 0))))
+@example(((5, 0, 2, 9, 1), BlockOrder((2,), 5)))
+@example(((5, 0, 2, 9, 1), BlockOrder((0, 1, 2, 4), 5)))
+@example(((5, 0, 2, 9, 1), BlockOrder((4,), 5)))
+@example(((5, 0, 2, 9, 1), BlockOrder((0, 2, 3), 5)))
+@example(((5, 0, 2, 9, 1), BlockOrder((3, 4), 5)))
 @example(((4,), GrevLex((0,))))
 @example(((3,), BlockOrder((), 1)))
 @example(((3,), BlockOrder((0,), 1)))
@@ -87,8 +99,11 @@ def keyed_exponents(draw):
 @example(((2, 0, 5), BlockOrder((0, 1, 2), 3)))
 @settings(max_examples=200, deadline=None)
 def test_order_keys_match_comprehension_oracles(case):
-    """The keys built by mapping ``e.__getitem__`` equal the keys built by
-    list comprehensions, also for one variable and for empty blocks."""
+    """The keys equal the keys built by list comprehensions: the
+    ``itemgetter`` GrevLex key on the 16-variable permuted perm of a Chow
+    ring, the identity perm, its reverse and one variable, and the
+    BlockOrder key on blocks of one variable or none, and on blocks that
+    are a run of variables or not."""
     e, order = case
     if isinstance(order, GrevLex):
         assert order.key(e) == grevlex_key_by_comprehension(order, e)
@@ -172,6 +187,19 @@ def test_monomials_of_degree_matches_heft_walk():
         for delta in degrees:
             assert list(monomials_of_degree(delta, ctx)) == \
                 monomials_by_heft_walk(delta, cox), (ctx.names, delta)
+
+
+def test_monomials_of_degree_takes_one_smith_form(monkeypatch):
+    """e0 and the kernel both come from one Smith form of the grading."""
+    cox = hirzebruch(1)
+    smith = []
+    form = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda m: smith.append(m) or form(m))
+    monomials_of_degree.cache_clear()
+    got = monomials_of_degree((3, 2), cox.ring)
+    assert len(smith) == 1
+    assert list(got) == monomials_by_heft_walk((3, 2), cox)
 
 
 def test_monomials_of_total_degree_lex():

@@ -19,7 +19,7 @@ from toricsegre.fan import (Fan, build_cox_context, chart_dehomogenize,
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 
-from _fans import fan_library
+from _fans import fan_library, star_subdivide
 from _oracles import (heft_from_positive_relation, irrelevant_ideal,
                       validate_by_facet_normals)
 
@@ -109,22 +109,6 @@ def test_overlapping_cones_rejected():
         validate_smooth_complete(fan)
     assert exc.value.details["cone"] == (1, 3)
     assert "(0, 2)" in str(exc.value)
-
-
-def star_subdivide(rays, cones, face):
-    """Star subdivision along a face (two or more rays of one maximal
-    cone): the new ray is the sum of the face's rays, and each maximal cone
-    containing the face gives way to the cones that trade one face ray for
-    it.  Smooth and complete in, smooth and complete out."""
-    new = len(rays)
-    out = []
-    for cone in cones:
-        if set(face) <= set(cone):
-            out.extend(tuple(new if j == i else j for j in cone)
-                       for i in face)
-        else:
-            out.append(cone)
-    return rays + (tuple(map(sum, zip(*(rays[i] for i in face)))),), out
 
 
 @st.composite

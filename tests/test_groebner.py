@@ -23,7 +23,7 @@ from toricsegre.library import hirzebruch
 
 from _fans import fan_library
 from _oracles import (grevlex_ideal, intersect, irrelevant_ideal,
-                      normal_form_by_scan, reduce_by_scan,
+                      monomial_lcm_by_max, normal_form_by_scan, reduce_by_scan,
                       vector_space_dimension_by_box)
 from test_cones import EIGHT_RAYS, TWELVE_RAYS, cyclic_surface
 from test_exactpoly import leads, orders, polys
@@ -52,6 +52,18 @@ def same_ideal(I, J):
 def in_ideal(f, I):
     """f lies in I exactly when adding it leaves the reduced basis as is."""
     return same_ideal(ideal(I.names, *I.generators, f, order=I.order), I)
+
+
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+    *[st.tuples(st.integers(0, 9), st.integers(0, 9))] * n)))
+@settings(max_examples=200, deadline=None)
+def test_monomial_lcm_matches_max_oracle(pairs):
+    """The one-pass lcm kernel equals ``max`` of each exponent pair, as a
+    tuple, on up to 16 variables (the Chow rings' largest)."""
+    a, b = zip(*pairs)
+    lcm = groebner._monomial_lcm(a, b)
+    assert type(lcm) is tuple
+    assert lcm == monomial_lcm_by_max(a, b)
 
 
 def test_membership_oracle():

@@ -9,6 +9,8 @@ from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsegre.chow import build_chow_ring
 from toricsegre.errors import EmptySubscheme, NotHomogeneous, WholeSpace
@@ -26,9 +28,9 @@ from toricsegre.segre import (DEFAULT_COEFF_BOUND, _attempt, _attempt_primes,
                               pick_sections, preprocess, residual_class,
                               segre_class, zero_dim_length)
 
+from _fans import star_subdivide
 from _oracles import (grevlex_ideal, intersect, irrelevant_ideal,
                       saturate_by_intersection)
-from test_fan import star_subdivide
 from test_cones import (EIGHT_RAYS, FIVE_RAYS, TWELVE_RAYS,
                         cyclic_surface)
 from regenerate_golden import PROBLEMS
@@ -606,3 +608,63 @@ def test_point_on_p1_cubed_reduces_no_pair_of_known_elements():
         chow.divisor(0), chow.divisor(2)), chow.divisor(4)),)
     assert counts["extending"] > 0
     assert counts["known pairs"] == 0
+
+
+def point_class(chow, cone):
+    """[point] of the torus-fixed point of a maximal cone: the product of
+    the cone's divisors."""
+    point = chow.divisor(cone[0])
+    for i in cone[1:]:
+        point = chow.multiply(point, chow.divisor(i))
+    return point
+
+
+def test_seed_independence_on_star_subdivisions():
+    """On P2 blown up at a point, P3 star-subdivided along an edge and
+    P2 x P1 star-subdivided along an edge, seeds 0, 1 and 2 give the same
+    components for the torus-fixed point of a cone at the new ray, and for
+    that ray's divisor D: [point] and D/(1+D) = D - D^2 + D^3 - ..."""
+    for base in (projective_space(2), projective_space(3),
+                 threefold_p2_x_p1()):
+        rays, cones = star_subdivide(base.fan.rays, base.fan.max_cones,
+                                     base.fan.max_cones[0][:2])
+        cox = build_cox_context(Fan(rays, tuple(cones)))
+        chow = build_chow_ring(cox)
+        new = len(rays) - 1
+        cone = next(c for c in cones if new in c)
+        D = chow.divisor(new)
+        cases = ((["z%d" % i for i in cone], (point_class(chow, cone),)),
+                 (["z%d" % new], tuple(
+                     chow.reduce(chow.power(D, i + 1) * (-1) ** i)
+                     for i in range(cox.fan.dim))))
+        for texts, expected in cases:
+            prob = preprocess(cox, chow, [parse_polynomial(t, cox.ring)
+                                          for t in texts])
+            for seed in range(3):
+                assert segre_class(prob, seed=seed).components == \
+                    expected, (rays, texts, seed)
+
+
+@st.composite
+def generated_surfaces(draw):
+    """Star subdivisions of P2 or P1 x P1 at random cones until the fan
+    has 6 to 8 rays, and one of its maximal cones."""
+    base = draw(st.sampled_from((projective_space(2), hirzebruch(0)))).fan
+    rays, cones = base.rays, list(base.max_cones)
+    target = draw(st.integers(6, 8))
+    while len(rays) < target:
+        rays, cones = star_subdivide(rays, cones, draw(st.sampled_from(cones)))
+    return rays, tuple(cones), draw(st.sampled_from(cones))
+
+
+@given(generated_surfaces(), st.integers(0, 2))
+@settings(max_examples=15, deadline=None)
+def test_point_on_generated_surfaces(case, seed):
+    """s(point) = [point], of degree 1, for the torus-fixed point of any
+    cone of a generated surface with 6 to 8 rays."""
+    rays, cones, cone = case
+    cox = build_cox_context(Fan(rays, cones))
+    chow, prob = setup(cox, *("z%d" % i for i in cone))
+    point = point_class(chow, cone)
+    assert chow.degree(point) == 1
+    assert segre_class(prob, seed=seed).components == (point,), rays
