@@ -12,15 +12,16 @@ has degree one.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
-from operator import le
 
 from . import linalg
 from .errors import (CodimOverflow, NormalizationInconsistent, NotHomogeneous,
                      RankMismatch, TooLarge)
 from .exactpoly import GrevLex, Polynomial, monomials_of_total_degree
-from .groebner import Ideal, groebner_basis, normal_form
+from .groebner import (Ideal, groebner_basis, normal_form,
+                       standard_monomials)
 
 
 # The most monomial orders ``build_chow_ring`` tries.  Each costs one
@@ -192,15 +193,14 @@ def _assemble(cox, ideal):
     r, k = fan.nrays, fan.dim
     names = ideal.names
     gb = groebner_basis(ideal)
-    leads = gb.leads
-
-    def is_standard(m):
-        return not any(all(map(le, lead, m)) for lead in leads)
-
+    # each basis in the ascending order of the cached monomial tuple it
+    # is read from, so that it holds the same tuple objects
+    walk = sorted(standard_monomials(gb.leads, r, k + 1))
     bases = []
     for p in range(k + 2):
-        bases.append(tuple(m for m in monomials_of_total_degree(r, p)
-                           if is_standard(m)))
+        cached = monomials_of_total_degree(r, p)
+        bases.append(tuple(cached[bisect_left(cached, m)]
+                           for m in walk if sum(m) == p))
     ranks = chow_ranks(fan)
     for p in range(k + 1):
         if len(bases[p]) != ranks[p]:
@@ -211,7 +211,7 @@ def _assemble(cox, ideal):
     if bases[k + 1]:
         raise RankMismatch("standard monomials above the ambient dimension",
                            codim=k + 1, got=len(bases[k + 1]), expected=0)
-    for g, lead in zip(gb.elements, leads):
+    for g, lead in zip(gb.elements, gb.leads):
         if g.coeffs[lead] != 1:
             raise NormalizationInconsistent(
                 "basis element %s has a non-monic lead term"

@@ -70,17 +70,13 @@ class Fan:
 
     @cached_property
     def walls(self):
-        """``wall_relations`` of this fan, walked once."""
-        return wall_relations(self)
-
-    @cached_property
-    def validated(self):
-        """True once ``validate_smooth_complete`` has passed on this fan,
-        so that it runs once; a failed validation keeps nothing."""
+        """The wall relations, found by this fan's one validation
+        (``validate_smooth_complete``); a failed one keeps nothing."""
         return _certify(self)
 
     def cone_complement(self, cone):
-        return tuple(i for i in range(self.nrays) if i not in set(cone))
+        inside = set(cone)
+        return tuple(i for i in range(self.nrays) if i not in inside)
 
     def face_counts(self):
         """Number of p-dimensional cones for p = 0..k (simplicial fan:
@@ -119,20 +115,19 @@ def validate_smooth_complete(fan):
     see ``wall_relations``) and a fan (no two maximal cones overlap).
     Raises with the offending cone or facet otherwise.
 
-    Once every wall is two-sided, the cones cover the space off their
-    codimension-2 faces the same number of times everywhere, so one point
-    inside the first cone decides whether they cover it once: the sum p of
-    its rays must lie in no other maximal cone.  The coordinates of p on a
-    cone's rays are p . B^-1 = p . v . u, from the Smith form u . B . v = I
-    of the cone's ray rows B that the index check computes.
-
-    The verdict is kept on the fan (``Fan.validated``), so a second call
-    on the same fan costs nothing."""
-    return fan.validated
+    The index check's Smith form u . B . v = I of a cone's ray rows B
+    gives B^-1 = v . u: w . B^-1 are the coordinates of w on the cone's
+    rays, which the walls (``wall_relations``) and the overlap check
+    read.  Once every wall is two-sided, the cones cover the space off
+    their codimension-2 faces equally often everywhere, so the sum p of
+    the first cone's rays must lie in no other maximal cone.  The verdict
+    is kept on the fan with its walls (``Fan.walls``)."""
+    fan.walls  # validates the fan on the first call
+    return True
 
 
 def _certify(fan):
-    """The checks of ``validate_smooth_complete``."""
+    """The checks of ``validate_smooth_complete``; returns the walls."""
     k = fan.dim
     inverses = []
     for cone in fan.max_cones:
@@ -143,29 +138,30 @@ def _certify(fan):
         index = prod(d[i][i] for i in range(k))
         if index != 1:
             raise NotSmooth("cone %r has index %d" % (cone, index), cone=cone)
-        inverses.append((u, v))
-    fan.walls  # raises NotComplete unless every wall relation is integral
+        inverses.append([[sum(map(mul, row, col)) for row in v]
+                         for col in zip(*u)])  # the columns of v . u
+    walls = wall_relations(fan, inverses)
     first = fan.max_cones[0]
     p = [sum(col) for col in zip(*(fan.rays[i] for i in first))]
-    for cone, (u, v) in zip(fan.max_cones[1:], inverses[1:]):
-        pv = [sum(map(mul, p, col)) for col in zip(*v)]
-        if all(sum(map(mul, pv, col)) >= 0 for col in zip(*u)):
+    for cone, cols in zip(fan.max_cones[1:], inverses[1:]):
+        if all(sum(map(mul, p, col)) >= 0 for col in cols):
             raise InvalidFan("maximal cones %r and %r overlap"
                              % (first, cone), cone=cone)
-    return True
+    return walls
 
 
-def wall_relations(fan):
+def wall_relations(fan, inverses):
     """One integer relation per wall, in sorted facet order: for a facet
     shared by maximal cones with extra rays u and u', the vector c with
     c_u = c_u' = 1 and c_i = -b_i on the facet rays, where
-    u + u' = sum b_i u_i; c annihilates the ray matrix.
+    u + u' = sum b_i u_i; c annihilates the ray matrix.  ``inverses``
+    holds the columns of B^-1 for each maximal cone's ray rows B.
 
     Raises NotComplete when a facet of a maximal cone lies in one maximal
-    cone or in more than two, or when u + u' is no integer combination of
-    the facet rays.  For unimodular cones the latter is exactly "the two
-    cones lie on the same side of the facet": u' = a u + (facet rays) with
-    a = +-1, and a = -1 means opposite sides (DECISIONS.md entry 15)."""
+    cone or in more than two, or when the two cones lie on the same side
+    of it.  On the rays of the first cone, u' = y . B with y = u' . B^-1
+    and y_u = +-1 (both cones are unimodular).  The sides are opposite
+    exactly when y_u = -1, and then b_i = y_i (DECISIONS.md entry 26)."""
     k = fan.dim
     facet_map = {}
     for ci, cone in enumerate(fan.max_cones):
@@ -179,19 +175,15 @@ def wall_relations(fan):
                 "facet %r belongs to %d maximal cones" % (facet, len(hits)),
                 facet=facet)
         (ci, u), (cj, up) = hits
-        target = [a + b for a, b in zip(fan.rays[u], fan.rays[up])]
-        cols = [[fan.rays[i][j] for i in facet] for j in range(k)]
-        (b,) = linalg.solve_integer(cols, [target])
-        if b is None:
+        c = [0] * fan.nrays
+        c[up] = 1
+        for i, col in zip(fan.max_cones[ci], inverses[ci]):
+            c[i] = -sum(map(mul, fan.rays[up], col))
+        if c[u] != 1:
             raise NotComplete(
                 "cones %r and %r do not lie on opposite sides of facet %r"
                 % (fan.max_cones[ci], fan.max_cones[cj], facet),
                 facet=facet)
-        c = [0] * fan.nrays
-        c[u] += 1
-        c[up] += 1
-        for i, bi in zip(facet, b):
-            c[i] -= bi
         relations.append(tuple(c))
     return tuple(relations)
 
@@ -213,10 +205,15 @@ def grading_matrix(fan):
     return tuple(tuple(row) for row in a)
 
 
-
 def validate_degree_matrix(fan, degrees):
     """Check a user-supplied degree matrix: right shape, annihilates the
-    rays, and generates the same integer row space as the canonical one."""
+    rays, and generates the same integer row space as the canonical one.
+
+    A row that annihilates the rays is already an integer combination of
+    the canonical rows A (DECISIONS.md entry 26), so the matrix is M . A
+    for an integer M, and it spans the lattice exactly when M is
+    unimodular.  With X a right inverse of A, M = degrees . X, and its
+    |det| is the product of its invariant factors."""
     r, k = fan.nrays, fan.dim
     a = tuple(tuple(int(x) for x in row) for row in degrees)
     if len(a) != r - k or any(len(row) != r for row in a):
@@ -226,10 +223,12 @@ def validate_degree_matrix(fan, degrees):
             if sum(row[i] * fan.rays[i][j] for i in range(r)) != 0:
                 raise InvalidGrading(
                     "degree matrix does not annihilate the ray matrix")
-    canonical = grading_matrix(fan)
-    if not all(linalg.in_integer_row_span(canonical, row) for row in a):
-        raise InvalidGrading("degree rows are not integral Picard classes")
-    if not all(linalg.in_integer_row_span(a, row) for row in canonical):
+    x = linalg.solve_integer(grading_matrix(fan),
+                             [[int(i == j) for i in range(r - k)]
+                              for j in range(r - k)])
+    d, _u, _v = linalg.smith_normal_form(
+        [[sum(map(mul, row, col)) for col in x] for row in a])
+    if prod(d[i][i] for i in range(r - k)) != 1:
         raise InvalidGrading("degree rows do not span the Picard lattice")
     return a
 

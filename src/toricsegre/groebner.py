@@ -520,31 +520,37 @@ def krull_dimension(I):
     return best
 
 
-def vector_space_dimension(I):
-    """Number of standard monomials (length of the Artinian quotient).
+def standard_monomials(leads, nvars, top=None):
+    """The monomials in ``nvars`` variables that no monomial of ``leads``
+    divides, of total degree at most ``top`` (all of them when None, and
+    then they must be finitely many), in no particular order.
 
-    The standard monomials are closed under division, so each is reached
-    from 1 by raising its exponents in variable order: a depth-first walk
-    that raises only the last variable raised or a later one meets each
-    once, and stops at every monomial a lead divides.  The walk tests at
-    most nvars times as many monomials as it counts."""
-    G = groebner_basis(I)
-    lms = G.leads
-    if any(max(m) == 0 for m in lms):
-        return 0
-    r = I.nvars
-    for i in range(r):
+    They are closed under division, so each is reached from 1 by raising
+    its exponents in variable order: a depth-first walk that raises only
+    the last variable raised or a later one meets each once, and stops at
+    every monomial a lead divides.  The walk tests at most nvars times as
+    many monomials as it yields."""
+    if any(max(m) == 0 for m in leads):
+        return
+    stack = [((0,) * nvars, 0, 0)]
+    while stack:
+        m, first, degree = stack.pop()
+        yield m
+        if degree == top:
+            continue
+        for i in range(first, nvars):
+            e = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if not any(all(map(le, lm, e)) for lm in leads):
+                stack.append((e, i, degree + 1))
+
+
+def vector_space_dimension(I):
+    """Number of standard monomials (length of the Artinian quotient),
+    counted by the walk of ``standard_monomials``."""
+    lms = groebner_basis(I).leads
+    for i in range(I.nvars):
         if not any(m[i] == sum(m) for m in lms):
             raise NotZeroDimensional(
                 "variable %s is not nilpotent modulo the lead-term ideal"
                 % I.names[i])
-    count = 0
-    stack = [((0,) * r, 0)]
-    while stack:
-        m, first = stack.pop()
-        count += 1
-        for i in range(first, r):
-            e = m[:i] + (m[i] + 1,) + m[i + 1:]
-            if not any(all(map(le, lm, e)) for lm in lms):
-                stack.append((e, i))
-    return count
+    return sum(1 for _ in standard_monomials(lms, I.nvars))

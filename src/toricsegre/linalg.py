@@ -218,12 +218,6 @@ def solve_by_smith_form(form, ncols, rhs):
     return tuple(out)
 
 
-def in_integer_row_span(rows, target):
-    """Whether ``target`` is an integer combination of ``rows``."""
-    cols = [[row[j] for row in rows] for j in range(len(target))]
-    return solve_integer(cols, [target])[0] is not None
-
-
 # --- Fourier-Motzkin -------------------------------------------------------
 
 def _normalize_ineq(coeffs, const):

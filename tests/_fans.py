@@ -1,6 +1,8 @@
-"""The named library fans the tests run over, and the star subdivision
-that generates fans from them."""
+"""The named library fans the tests run over, the star subdivision
+that generates fans from them, and the surfaces of the ``chow-setup``
+benchmark."""
 
+from toricsegre.fan import Fan
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 
@@ -34,3 +36,12 @@ def star_subdivide(rays, cones, face):
         else:
             out.append(cone)
     return rays + (tuple(map(sum, zip(*(rays[i] for i in face)))),), out
+
+
+def chain_surface(r):
+    """The r-ray surface of the benchmark's ``chow-setup`` workload: the
+    rays (1,0), (j+1,j) for j = 1..r-8, then the seven from (1,1) round to
+    (1,-1), and a maximal cone for each cyclically adjacent pair."""
+    rays = ([(1, 0)] + [(j + 1, j) for j in range(1, r - 7)]
+            + [(1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)])
+    return Fan(tuple(rays), tuple((i, (i + 1) % r) for i in range(r)))

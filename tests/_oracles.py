@@ -9,7 +9,8 @@ from math import gcd, lcm
 from toricsegre import linalg
 from toricsegre.errors import (InvalidFan, NonIntegerCoefficient, NotComplete,
                                NotSmooth)
-from toricsegre.exactpoly import GrevLex, Polynomial
+from toricsegre.exactpoly import (GrevLex, Polynomial,
+                                  monomials_of_total_degree)
 from toricsegre.groebner import (Ideal, _eliminate_extra_raw, _primitive,
                                  groebner_basis, saturate_ideal)
 
@@ -150,6 +151,51 @@ def validate_by_facet_normals(fan):
         raise InvalidFan("the maximal cones cover a generic point %d times"
                          % sheets)
     return True
+
+
+def wall_relations_by_solve(fan):
+    """``fan.wall_relations`` as it was before it read the cone inverses
+    that validation computes: for each facet, in sorted order, one integer
+    solve of u + u' = sum b_i u_i on the facet rays, and NotComplete when
+    there is none or when the facet is not in exactly two maximal
+    cones."""
+    k = fan.dim
+    facet_map = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for facet in itertools.combinations(cone, k - 1):
+            extra = next(i for i in cone if i not in facet)
+            facet_map.setdefault(facet, []).append((ci, extra))
+    relations = []
+    for facet, hits in sorted(facet_map.items()):
+        if len(hits) != 2:
+            raise NotComplete(
+                "facet %r belongs to %d maximal cones" % (facet, len(hits)),
+                facet=facet)
+        (ci, u), (cj, up) = hits
+        target = [a + b for a, b in zip(fan.rays[u], fan.rays[up])]
+        cols = [[fan.rays[i][j] for i in facet] for j in range(k)]
+        (b,) = linalg.solve_integer(cols, [target])
+        if b is None:
+            raise NotComplete(
+                "cones %r and %r do not lie on opposite sides of facet %r"
+                % (fan.max_cones[ci], fan.max_cones[cj], facet),
+                facet=facet)
+        c = [0] * fan.nrays
+        c[u] += 1
+        c[up] += 1
+        for i, bi in zip(facet, b):
+            c[i] -= bi
+        relations.append(tuple(c))
+    return tuple(relations)
+
+
+def in_integer_row_span(rows, target):
+    """Whether ``target`` is an integer combination of ``rows``.  Before
+    ``fan.validate_degree_matrix`` read one determinant, it asked this of
+    every supplied row against the canonical rows and of every canonical
+    row against the supplied ones."""
+    cols = [[row[j] for row in rows] for j in range(len(target))]
+    return linalg.solve_integer(cols, [target])[0] is not None
 
 
 def heft_from_positive_relation(cox):
@@ -374,3 +420,13 @@ def vector_space_dimension_by_box(I):
               for i in range(I.nvars)]
     return sum(1 for m in itertools.product(*(range(b) for b in bounds))
                if not any(_monomial_divides(lm, m) for lm in lms))
+
+
+def chow_bases_by_scan(leads, nvars, top):
+    """The standard monomials of each total degree 0..``top`` as
+    ``chow._assemble`` found them before the walk: every monomial of the
+    degree, in the order of ``monomials_of_total_degree``, tested against
+    every lead."""
+    return [tuple(m for m in monomials_of_total_degree(nvars, p)
+                  if not any(_monomial_divides(lm, m) for lm in leads))
+            for p in range(top + 1)]

@@ -14,15 +14,18 @@ from toricsegre.chow import (MAX_CHOW_ORDERS, _assemble, build_chow_ring,
                              chow_ranks)
 from toricsegre.errors import (CodimOverflow, NormalizationInconsistent,
                                RankMismatch, TooLarge)
-from toricsegre.exactpoly import GrevLex, Polynomial, random_homogeneous
+from toricsegre.exactpoly import (GrevLex, Polynomial,
+                                  monomials_of_total_degree,
+                                  random_homogeneous)
 from toricsegre.fan import Fan, build_cox_context, validate_smooth_complete
-from toricsegre.groebner import groebner_basis
+from toricsegre.groebner import groebner_basis, standard_monomials
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
 
 from _fans import fan_library, star_subdivide
-from _oracles import _det, chow_ideal_by_solved_forms, irrelevant_ideal
+from _oracles import (_det, chow_bases_by_scan, chow_ideal_by_solved_forms,
+                      irrelevant_ideal)
 from test_cones import EIGHT_RAYS, TWELVE_RAYS, cyclic_surface
 from test_segre import time_limit
 
@@ -259,3 +262,37 @@ def test_library_fans_need_few_orders(monkeypatch):
         tried.clear()
         build_chow_ring(cox)
         assert len(tried) == (2 if name in ("F2", "F3") else 1), name
+
+
+def test_walk_finds_the_scanned_bases_for_every_order_tried(monkeypatch):
+    """For every order ``build_chow_ring`` tries, on the library fans and
+    the 8- and 12-ray surfaces, the walk finds the standard monomials of
+    degree at most k + 1 that the scan of every monomial found; on F2 and
+    F3 the rejected first order is among them.  The accepted ring's bases
+    are the scan's, in its order, and hold the tuple objects of
+    ``monomials_of_total_degree``."""
+    tried = []
+    assemble = chow_module._assemble
+
+    def recording(cox, ideal):
+        tried.append(ideal)
+        return assemble(cox, ideal)
+
+    monkeypatch.setattr(chow_module, "_assemble", recording)
+    fans = dict(fan_library())
+    fans["8 rays"] = cyclic_surface(EIGHT_RAYS)
+    fans["12 rays"] = cyclic_surface(TWELVE_RAYS)
+    for name, cox in fans.items():
+        tried.clear()
+        chow = build_chow_ring(cox)
+        r, k = cox.fan.nrays, cox.fan.dim
+        assert len(tried) == (2 if name in ("F2", "F3") else 1), name
+        for ideal in tried:
+            leads = groebner_basis(ideal).leads
+            scan = chow_bases_by_scan(leads, r, k + 1)
+            assert sorted(standard_monomials(leads, r, k + 1)) == \
+                sorted(m for basis in scan for m in basis), name
+        assert chow.bases == tuple(scan[:k + 1]), name
+        for p, basis in enumerate(chow.bases):
+            cached = {id(m) for m in monomials_of_total_degree(r, p)}
+            assert all(id(m) in cached for m in basis), name

@@ -3,7 +3,8 @@
 import itertools
 import random
 import time
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,14 +15,15 @@ from toricsegre.errors import (InvalidFan, InvalidGrading, NotComplete,
                                NotSmooth)
 from toricsegre.exactpoly import Polynomial
 from toricsegre.fan import (Fan, build_cox_context, chart_dehomogenize,
-                            grading_matrix, validate_smooth_complete,
-                            wall_relations)
+                            grading_matrix, validate_degree_matrix,
+                            validate_smooth_complete, wall_relations)
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 
-from _fans import fan_library, star_subdivide
-from _oracles import (heft_from_positive_relation, irrelevant_ideal,
-                      validate_by_facet_normals)
+from _fans import chain_surface, fan_library, star_subdivide
+from _oracles import (_det, heft_from_positive_relation,
+                      in_integer_row_span, irrelevant_ideal,
+                      validate_by_facet_normals, wall_relations_by_solve)
 
 
 def test_all_library_fans_validate():
@@ -52,8 +54,18 @@ def test_not_smooth_cone():
 def test_not_complete_fan():
     # only the first quadrant: facet pairing fails
     fan = Fan(((1, 0), (0, 1)), ((0, 1),))
-    with pytest.raises(NotComplete):
+    with pytest.raises(NotComplete) as exc:
         validate_smooth_complete(fan)
+    assert_same_error(exc.value, fan)
+
+
+def assert_same_error(error, fan):
+    """``wall_relations_by_solve`` raises on ``fan`` the type, text and
+    details of ``error``."""
+    with pytest.raises(type(error)) as exc:
+        wall_relations_by_solve(fan)
+    assert (str(exc.value), exc.value.details) == (str(error),
+                                                  error.details)
 
 
 def test_same_side_fan_not_complete():
@@ -63,6 +75,7 @@ def test_same_side_fan_not_complete():
     with pytest.raises(NotComplete) as exc:
         validate_smooth_complete(fan)
     assert exc.value.details["facet"] == (0,)
+    assert_same_error(exc.value, fan)
     with pytest.raises(NotComplete) as exc:
         validate_by_facet_normals(fan)
     assert exc.value.details["facet"] == (0,)
@@ -79,6 +92,7 @@ def test_cox_context_validates_its_fan_once(monkeypatch):
         with pytest.raises(NotComplete) as exc:
             build_cox_context(one_sided)
         assert exc.value.details["facet"] == (0,)
+        assert_same_error(exc.value, one_sided)
     with pytest.raises(NotSmooth):
         build_cox_context(Fan(((1, 0), (1, 2), (-1, -1), (0, -1), (-1, 1)),
                               ((0, 1), (1, 4), (4, 2), (2, 3), (3, 0))),
@@ -104,11 +118,11 @@ OVERLAPPING = (((1, 0), (1, 1), (-1, 1), (-2, -1), (0, -1)),
 
 def test_overlapping_cones_rejected():
     fan = Fan(*OVERLAPPING)
-    wall_relations(fan)  # every wall relation is integral
+    wall_relations_by_solve(fan)  # every wall relation is integral
     with pytest.raises(InvalidFan) as exc:
         validate_smooth_complete(fan)
     assert exc.value.details["cone"] == (1, 3)
-    assert "(0, 2)" in str(exc.value)
+    assert str(exc.value) == "maximal cones (0, 2) and (1, 3) overlap"
 
 
 @st.composite
@@ -167,12 +181,59 @@ def test_validation_matches_facet_normal_oracle(data):
     if isinstance(want, NotSmooth):
         assert got.details["cone"] == want.details["cone"]
     if want is None:
-        walls = wall_relations(fan)
+        walls = fan.walls
+        assert walls == wall_relations_by_solve(fan)
         assert len(walls) == fan.face_counts()[fan.dim - 1]
         for c in walls:
             for j in range(fan.dim):
                 assert sum(ci * fan.rays[i][j]
                            for i, ci in enumerate(c)) == 0
+
+
+def cone_inverses(fan):
+    """The columns of B^-1 for each maximal cone's ray rows B, each column
+    one integer solve of B x = e_j."""
+    unit = [[int(i == j) for i in range(fan.dim)] for j in range(fan.dim)]
+    return [linalg.solve_integer([fan.rays[i] for i in cone], unit)
+            for cone in fan.max_cones]
+
+
+def walls_or_error(walls, fan):
+    """The wall relations, or the text and details of NotComplete."""
+    try:
+        return walls(fan)
+    except NotComplete as exc:
+        return str(exc), exc.details
+
+
+def test_walls_match_solve_oracle_on_library_and_chow_setup_fans():
+    """The walls read off the cone inverses are the per-facet integer
+    solves' on the library fans and the 12-16-ray ``chow-setup``
+    surfaces."""
+    fans = [cox.fan for cox in fan_library().values()]
+    fans += [chain_surface(r) for r in (12, 14, 16)]
+    for fan in fans:
+        assert validate_smooth_complete(fan)
+        assert fan.walls == wall_relations_by_solve(fan), fan.rays
+
+
+@given(generated_fans())
+@example(OVERLAPPING)
+@settings(max_examples=150, deadline=None)
+def test_walls_match_solve_oracle_on_generated_fans(data):
+    """On star subdivisions and their mutations whose cones pass the
+    index check, the walls from the cone inverses are the oracle's, or
+    both raise NotComplete on the same facet with the same text."""
+    rays, cones = data
+    try:
+        fan = Fan(rays, cones)
+    except InvalidFan:
+        return
+    if any(len(c) != fan.dim or abs(_det([fan.rays[i] for i in c])) != 1
+           for c in fan.max_cones):
+        return
+    got = walls_or_error(lambda f: wall_relations(f, cone_inverses(f)), fan)
+    assert got == walls_or_error(wall_relations_by_solve, fan), (rays, cones)
 
 
 def test_grading_matrix_p2():
@@ -209,7 +270,101 @@ def test_custom_degrees_accepted():
     assert cox.ring.grading == ((1, 1, 1, 0), (0, 0, 1, 1))
     canonical = grading_matrix(cox.fan)
     for row in cox.ring.grading:
-        assert linalg.in_integer_row_span(canonical, row)
+        assert in_integer_row_span(canonical, row)
+
+
+def validated_fan(data):
+    """The fan of ``generated_fans`` data, or None when it fails
+    validation."""
+    try:
+        fan = Fan(*data)
+        validate_smooth_complete(fan)
+    except (InvalidFan, NotSmooth, NotComplete):
+        return None
+    return fan
+
+
+def spans_by_row_span(canonical, a):
+    """The two-sided row-span test ``validate_degree_matrix`` made before
+    it read a determinant: every row of each matrix is an integer
+    combination of the other's rows."""
+    return (all(in_integer_row_span(canonical, row) for row in a)
+            and all(in_integer_row_span(a, row) for row in canonical))
+
+
+def unimodular(draw, n):
+    """A random n x n integer matrix of determinant +-1, as a product of
+    elementary row operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            q = draw(st.integers(-3, 3))
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@given(generated_fans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_degree_check_matches_row_span_oracle(data, draw):
+    """Gradings U . A, A the canonical one, with U unimodular or not: the
+    determinant test accepts exactly those the two-sided row-span test
+    accepts, and rejects the others with the same text."""
+    fan = validated_fan(data)
+    if fan is None:
+        return
+    canonical = grading_matrix(fan)
+    n = len(canonical)
+    if draw.draw(st.booleans()):
+        u = unimodular(draw.draw, n)
+    else:
+        u = draw.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                        max_size=n), min_size=n, max_size=n))
+    a = [[sum(uij * row[c] for uij, row in zip(ui, canonical))
+          for c in range(fan.nrays)] for ui in u]
+    want = spans_by_row_span(canonical, a)
+    try:
+        got = validate_degree_matrix(fan, a) == tuple(map(tuple, a))
+    except InvalidGrading as exc:
+        assert str(exc) == "degree rows do not span the Picard lattice"
+        got = False
+    assert got == want, (data, u)
+
+
+@given(generated_fans(), st.lists(st.integers(-4, 4), min_size=1,
+                                  max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_rows_annihilating_the_rays_lie_in_the_canonical_lattice(data,
+                                                                 coeffs):
+    """The fact that makes the old "not integral Picard classes" branch
+    unreachable (DECISIONS.md entry 26): on a validated fan, every integer
+    row that annihilates the rays is an integer combination of the
+    canonical grading's rows.  The rows are built without the grading:
+    the wall relations, each rational kernel vector of the ray matrix
+    cleared of denominators, and an integer combination of those, each
+    divided by the gcd of its entries."""
+    fan = validated_fan(data)
+    if fan is None:
+        return
+    r, k = fan.nrays, fan.dim
+    m, pivots = linalg.rref([[v[j] for v in fan.rays] for j in range(k)])
+    rows = list(fan.walls)
+    for f in (j for j in range(r) if j not in pivots):
+        x = [Fraction(int(j == f)) for j in range(r)]
+        for row, col in zip(m, pivots):
+            x[col] = -row[f]
+        scale = lcm(*(q.denominator for q in x))
+        rows.append([int(q * scale) for q in x])
+    rows.append([sum(c * row[j] for c, row in zip(coeffs, rows))
+                 for j in range(r)])
+    canonical = grading_matrix(fan)
+    for row in rows:
+        g = gcd(*row)
+        if g:
+            assert in_integer_row_span(canonical, [x // g for x in row]), \
+                (data, row)
 
 
 def test_minimal_non_faces():

@@ -668,3 +668,20 @@ def test_point_on_generated_surfaces(case, seed):
     point = point_class(chow, cone)
     assert chow.degree(point) == 1
     assert segre_class(prob, seed=seed).components == (point,), rays
+
+
+@given(generated_surfaces(), st.integers(0, 7))
+@settings(max_examples=10, deadline=None)
+def test_ray_divisor_on_generated_surfaces(case, ray):
+    """s(D) = D/(1 + D) = D - D^2 for the divisor D of any ray of a
+    generated surface with 6 to 8 rays, the same class at seeds 0, 1
+    and 2."""
+    rays, cones, _cone = case
+    i = ray % len(rays)
+    cox = build_cox_context(Fan(rays, cones))
+    chow, prob = setup(cox, "z%d" % i)
+    D = chow.divisor(i)
+    expected = (D, chow.reduce(chow.multiply(D, D) * -1))
+    for seed in range(3):
+        assert segre_class(prob, seed=seed).components == expected, \
+            (rays, i, seed)
