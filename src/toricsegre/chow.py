@@ -15,8 +15,8 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
-from . import linalg
 from .errors import (CodimOverflow, NormalizationInconsistent, NotHomogeneous,
                      RankMismatch, TooLarge)
 from .exactpoly import GrevLex, Polynomial, monomials_of_total_degree
@@ -117,12 +117,13 @@ class ChowRing:
         return c.coeffs.get(self.top, 0) * self.sign
 
     def pic_to_chow(self, delta):
-        """Divisor class with the given Picard multidegree, via an integer
-        lift through the grading matrix.  One always exists: the grading maps
-        Z^r onto the Picard lattice (DECISIONS.md entry 23)."""
-        (lift,) = linalg.solve_integer(self.cox.ring.grading, [delta])
+        """Divisor class with the given Picard multidegree, via the integer
+        lift X . delta, X the right inverse of the grading that the Cox
+        context keeps (DECISIONS.md entry 27).  Lifts differ by linear
+        relations, which the normal form removes."""
         out = self.zero()
-        for i, c in enumerate(lift):
+        for i, row in enumerate(self.cox.right_inverse):
+            c = sum(map(mul, row, delta))
             if c:
                 out = out + Polynomial.variable(self.nvars, i) * c
         return self.reduce(out)
@@ -157,10 +158,11 @@ def build_chow_ring(cox):
     submatrix is unimodular) the basis holds their solved forms, with unit
     leads.  Whether the surviving standard monomials form an integral
     basis depends on the tie-break order among the remaining divisors, so
-    pivot cones and orders are tried until the rank check, monic leads (so
-    normal forms stay integral) and the point-class normalization (every
-    maximal cone reduces to +- the top monomial, with one common sign) all
-    pass.  Past ``MAX_CHOW_ORDERS`` orders it raises TooLarge.
+    pivot cones and orders are tried until the rank check and monic leads
+    (so normal forms stay integral) pass.  Then every maximal cone reduces
+    to the same +- the top monomial, and the first gives the sign
+    (DECISIONS.md entry 27).  Past ``MAX_CHOW_ORDERS`` orders it raises
+    TooLarge.
     """
     fan = cox.fan
     r, k = fan.nrays, fan.dim
@@ -194,10 +196,11 @@ def _assemble(cox, ideal):
     names = ideal.names
     gb = groebner_basis(ideal)
     # each basis in the ascending order of the cached monomial tuple it
-    # is read from, so that it holds the same tuple objects
-    walk = sorted(standard_monomials(gb.leads, r, k + 1))
+    # is read from, so that it holds the same tuple objects; no order has
+    # a standard monomial above degree k (DECISIONS.md entry 26, fact 4)
+    walk = sorted(standard_monomials(gb.leads, r, k))
     bases = []
-    for p in range(k + 2):
+    for p in range(k + 1):
         cached = monomials_of_total_degree(r, p)
         bases.append(tuple(cached[bisect_left(cached, m)]
                            for m in walk if sum(m) == p))
@@ -208,32 +211,16 @@ def _assemble(cox, ideal):
                 "codimension %d has %d standard monomials, expected %d"
                 % (p, len(bases[p]), ranks[p]),
                 codim=p, got=len(bases[p]), expected=ranks[p])
-    if bases[k + 1]:
-        raise RankMismatch("standard monomials above the ambient dimension",
-                           codim=k + 1, got=len(bases[k + 1]), expected=0)
     for g, lead in zip(gb.elements, gb.leads):
         if g.coeffs[lead] != 1:
             raise NormalizationInconsistent(
                 "basis element %s has a non-monic lead term"
                 % g.format(names))
+    # with monic leads, top is a Z-basis of the codimension-k piece, so
+    # every point class reduces to the same +-top (DECISIONS.md entry 27)
     top = bases[k][0]
-    sign = None
-    for cone in fan.max_cones:
-        e = [0] * r
-        for i in cone:
-            e[i] = 1
-        nf = normal_form(Polynomial.from_monomial(tuple(e)), gb)
-        lam = nf.coeffs.get(top, 0)
-        if set(nf.coeffs) != {top} or lam not in (1, -1):
-            raise NormalizationInconsistent(
-                "point class of cone %r reduced to %s, not +-(top monomial)"
-                % (cone, nf.format(names)), cone=cone)
-        if sign is None:
-            sign = lam
-        elif sign != lam:
-            raise NormalizationInconsistent(
-                "cone %r gives point class sign %d, earlier cones gave %d"
-                % (cone, lam, sign), cone=cone)
-    return ChowRing(cox=cox, names=names, gb=gb, bases=tuple(bases[:k + 1]),
+    first = fan.max_cones[0]
+    point = Polynomial.from_monomial(tuple(int(i in first) for i in range(r)))
+    sign = normal_form(point, gb).coeffs[top]
+    return ChowRing(cox=cox, names=names, gb=gb, bases=tuple(bases),
                     top=top, sign=sign)
-

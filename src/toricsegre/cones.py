@@ -16,6 +16,8 @@ minimizer with every pairing at least 1 gives the ample class of
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import linalg
 from .errors import NotProjective
 from .exactpoly import monomials_of_degree
@@ -26,9 +28,11 @@ def curve_functionals(cox):
     w with w . A = c for each wall relation c (A the grading matrix), in
     wall order.  The rows of A are a Z-basis of the relation lattice, so
     each w exists (DECISIONS.md entry 23), and it is unique because the
-    rows of A are independent.  One Smith form of A serves every wall."""
+    rows of A are independent.  With X the Cox context's right inverse,
+    w = w . A . X = c . X (DECISIONS.md entry 27)."""
+    cols = list(zip(*cox.right_inverse))
     return tuple(dict.fromkeys(
-        linalg.solve_integer(list(zip(*cox.ring.grading)), cox.fan.walls)))
+        tuple(sum(map(mul, c, col)) for col in cols) for c in cox.fan.walls))
 
 
 def is_nef(delta, functionals):

@@ -6,7 +6,9 @@ completeness (every wall relation is integral, see ``wall_relations``) and
 that the cones do not overlap; ``build_cox_context`` runs it first, and
 the fan keeps the verdict.  The grading matrix is the cokernel
 projection of the ray matrix, computed by Smith normal form and
-canonicalized by row Hermite form.  Because the rays of a validated fan
+canonicalized by row Hermite form; the Cox context keeps one right
+inverse of it, read off the grading's columns off the first maximal
+cone (DECISIONS.md entry 27).  Because the rays of a validated fan
 positively span the space, every grading of it has a heft (DECISIONS.md
 entry 23), so no step below searches for one.
 """
@@ -205,15 +207,37 @@ def grading_matrix(fan):
     return tuple(tuple(row) for row in a)
 
 
+def _right_inverse(fan, a):
+    """The right inverse X of a grading ``a`` (a . X = I) that is zero on
+    the rows of the first maximal cone, or None when there is none of
+    that form.
+
+    The columns of ``a`` off that cone form a square block, and X is the
+    inverse P of that block spread onto the rows off the cone.  A grading
+    of a validated fan has a unimodular block exactly when it spans the
+    Picard lattice (DECISIONS.md entry 27), so one row Hermite form
+    U . block = H decides: a square integer matrix is unimodular exactly
+    when its Hermite form is I, and then P = U."""
+    off = fan.cone_complement(fan.max_cones[0])
+    n = len(a)
+    h, p = linalg.row_hermite([[row[i] for i in off] for row in a])
+    if h != [[int(i == j) for j in range(n)] for i in range(n)]:
+        return None
+    x = [(0,) * n] * fan.nrays
+    for i, row in zip(off, p):
+        x[i] = tuple(row)
+    return tuple(x)
+
+
 def validate_degree_matrix(fan, degrees):
     """Check a user-supplied degree matrix: right shape, annihilates the
     rays, and generates the same integer row space as the canonical one.
+    Returns the matrix and its ``_right_inverse``.
 
     A row that annihilates the rays is already an integer combination of
-    the canonical rows A (DECISIONS.md entry 26), so the matrix is M . A
-    for an integer M, and it spans the lattice exactly when M is
-    unimodular.  With X a right inverse of A, M = degrees . X, and its
-    |det| is the product of its invariant factors."""
+    the canonical rows (DECISIONS.md entry 26), so the rows span the
+    lattice exactly when the block off the first maximal cone is
+    unimodular (entry 27), which ``_right_inverse`` decides."""
     r, k = fan.nrays, fan.dim
     a = tuple(tuple(int(x) for x in row) for row in degrees)
     if len(a) != r - k or any(len(row) != r for row in a):
@@ -223,22 +247,22 @@ def validate_degree_matrix(fan, degrees):
             if sum(row[i] * fan.rays[i][j] for i in range(r)) != 0:
                 raise InvalidGrading(
                     "degree matrix does not annihilate the ray matrix")
-    x = linalg.solve_integer(grading_matrix(fan),
-                             [[int(i == j) for i in range(r - k)]
-                              for j in range(r - k)])
-    d, _u, _v = linalg.smith_normal_form(
-        [[sum(map(mul, row, col)) for col in x] for row in a])
-    if prod(d[i][i] for i in range(r - k)) != 1:
+    x = _right_inverse(fan, a)
+    if x is None:
         raise InvalidGrading("degree rows do not span the Picard lattice")
-    return a
+    return a, x
 
 
 @dataclass(frozen=True)
 class CoxContext:
-    """Ring context of the Cox ring together with the fan."""
+    """Ring context of the Cox ring together with the fan, and the
+    right inverse X of the grading A (A . X = I, see ``_right_inverse``):
+    X . delta lifts a Picard class delta to a divisor, and c . X is the
+    functional w with w . A = c of a ray relation c."""
 
     ring: RingContext
     fan: Fan
+    right_inverse: tuple
 
     @property
     def nvars(self):
@@ -248,7 +272,7 @@ class CoxContext:
 def build_cox_context(fan, names=None, degrees=None):
     """Cox ring of the fan: ``validate_smooth_complete`` first, then the
     variable names, then the grading, canonical or user-supplied after
-    ``validate_degree_matrix``."""
+    ``validate_degree_matrix``, with its right inverse."""
     validate_smooth_complete(fan)
     r = fan.nrays
     if names is None:
@@ -261,9 +285,11 @@ def build_cox_context(fan, names=None, degrees=None):
             raise InvalidFan("duplicate variable names")
     if degrees is None:
         a = grading_matrix(fan)
+        x = _right_inverse(fan, a)
     else:
-        a = validate_degree_matrix(fan, degrees)
-    return CoxContext(ring=RingContext(names=names, grading=a), fan=fan)
+        a, x = validate_degree_matrix(fan, degrees)
+    return CoxContext(ring=RingContext(names=names, grading=a), fan=fan,
+                      right_inverse=x)
 
 
 def chart_dehomogenize(gens, cox, prime=None):

@@ -239,7 +239,8 @@ def _buchberger(gens, order, known=(), prime=None):
     is a reduced basis for ``order`` (and ``prime``) as (lead, element)
     pairs.  The S-pair of two known elements reduces to zero, so it is
     never queued; it still counts in the criteria that prune the other
-    pairs.
+    pairs.  A generator that is a nonzero constant makes the unit ideal,
+    whose reduced basis is 1, at once.
     """
     key = order.key
     if prime is None:
@@ -258,6 +259,8 @@ def _buchberger(gens, order, known=(), prime=None):
             p = {m: c % prime for m, c in p.items() if c % prime}
         if p:
             lm = min(p, key=key)
+            if not any(lm):
+                return [(lm, {lm: 1})]  # a nonzero constant: the unit ideal
             p = (_primitive(dict(p), lm) if prime is None
                  else _monic(p, lm, prime))
             fs = frozenset(p.items())
@@ -415,16 +418,16 @@ def normal_form(f, G):
     Raises NonIntegerCoefficient when a lead coefficient of ``G`` does not
     divide the coefficient it has to cancel.
 
-    A lead divides a term only if its total degree is at most the term's,
-    and a lead of the same degree only if it is the term, so only leads of
-    lower degree get the divisibility test and the others are compared
-    with the term.  The scan keeps ascending-lead order, so under any
-    order the reducer is the first whose lead divides.
+    In a reduced basis no lead divides another, so a term that is a lead
+    has that element as its only reducer, found by one lookup.  A lead
+    divides any other term only if its total degree is lower, so the
+    other terms scan only the leads of lower degree, in ascending-lead
+    order: under any order the reducer is the first whose lead divides,
+    the one a scan of every lead finds (DECISIONS.md entry 27).
     """
     key = G.order.key
-    # the elements in ascending-lead order, with the degree of each lead
-    reducers = [(lm, sum(lm), g.coeffs)
-                for lm, g in zip(reversed(G.leads), reversed(G.elements))]
+    by_lead = dict(zip(G.leads, [g.coeffs for g in G.elements]))
+    below = {}  # total degree -> the leads of lower degree, ascending
     num = dict(f.coeffs)
     heap = [(key(m), m) for m in num]
     heapify(heap)
@@ -434,13 +437,22 @@ def normal_form(f, G):
         c = num.pop(m, 0)
         if not c:
             continue
-        dm = sum(m)
-        for lm, dl, q in reducers:
-            if all(map(le, lm, m)) if dl < dm else lm == m:
-                break
+        q = by_lead.get(m)
+        if q is not None:
+            lm = m
         else:
-            res[m] = c
-            continue
+            dm = sum(m)
+            scan = below.get(dm)
+            if scan is None:
+                scan = below[dm] = [lm for lm in reversed(G.leads)
+                                    if sum(lm) < dm]
+            for lm in scan:
+                if all(map(le, lm, m)):
+                    q = by_lead[lm]
+                    break
+            else:
+                res[m] = c
+                continue
         b, rest = divmod(c, q[lm])
         if rest:
             raise NonIntegerCoefficient(

@@ -1,18 +1,26 @@
-"""Test oracles: fan checks, ideal operations, reductions, monomial
-lists, monomial helpers and order keys the program no longer computes this
-way, kept to check the ones it does."""
+"""Test oracles: fan checks, gradings, Picard lifts, Chow-ring assembly,
+ideal operations, reductions, monomial lists, monomial helpers and order
+keys the program no longer computes this way, kept to check the ones it
+does."""
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from toricsegre import linalg
-from toricsegre.errors import (InvalidFan, NonIntegerCoefficient, NotComplete,
-                               NotSmooth)
+from toricsegre.chow import ChowRing, chow_ranks
+from toricsegre.errors import (InvalidFan, InvalidGrading,
+                               NonIntegerCoefficient,
+                               NormalizationInconsistent, NotComplete,
+                               NotSmooth, RankMismatch)
 from toricsegre.exactpoly import (GrevLex, Polynomial,
                                   monomials_of_total_degree)
+from toricsegre.fan import grading_matrix
 from toricsegre.groebner import (Ideal, _eliminate_extra_raw, _primitive,
-                                 groebner_basis, saturate_ideal)
+                                 groebner_basis, normal_form, saturate_ideal,
+                                 standard_monomials)
 
 
 def _monomial_divides(a, b):
@@ -430,3 +438,100 @@ def chow_bases_by_scan(leads, nvars, top):
     return [tuple(m for m in monomials_of_total_degree(nvars, p)
                   if not any(_monomial_divides(lm, m) for lm in leads))
             for p in range(top + 1)]
+
+
+def degree_check_by_determinant(fan, degrees):
+    """``fan.validate_degree_matrix`` as it was before it read the block
+    off the first maximal cone: after the shape and annihilation checks,
+    a right inverse X of the canonical grading from one ``solve_integer``
+    per unit vector, and the rows span the lattice when the Smith form of
+    degrees . X has determinant +-1.  Returns the matrix."""
+    r, k = fan.nrays, fan.dim
+    a = tuple(tuple(int(x) for x in row) for row in degrees)
+    if len(a) != r - k or any(len(row) != r for row in a):
+        raise InvalidGrading("degree matrix must be %d x %d" % (r - k, r))
+    for j in range(k):
+        for row in a:
+            if sum(row[i] * fan.rays[i][j] for i in range(r)) != 0:
+                raise InvalidGrading(
+                    "degree matrix does not annihilate the ray matrix")
+    x = linalg.solve_integer(grading_matrix(fan),
+                             [[int(i == j) for i in range(r - k)]
+                              for j in range(r - k)])
+    d, _u, _v = linalg.smith_normal_form(
+        [[sum(map(mul, row, col)) for col in x] for row in a])
+    if prod(d[i][i] for i in range(r - k)) != 1:
+        raise InvalidGrading("degree rows do not span the Picard lattice")
+    return a
+
+
+def curve_functionals_by_smith(cox):
+    """``cones.curve_functionals`` as it was before it read the Cox
+    context's right inverse: one ``solve_integer`` of w . A = c for every
+    wall relation c, on the Smith form of the transposed grading."""
+    return tuple(dict.fromkeys(
+        linalg.solve_integer(list(zip(*cox.ring.grading)), cox.fan.walls)))
+
+
+def pic_to_chow_by_smith(chow, delta):
+    """``ChowRing.pic_to_chow`` as it was before it read the Cox context's
+    right inverse: the integer lift of ``delta`` by ``solve_integer`` on
+    the Smith form of the grading, then its normal form."""
+    (lift,) = linalg.solve_integer(chow.cox.ring.grading, [delta])
+    out = chow.zero()
+    for i, c in enumerate(lift):
+        if c:
+            out = out + Polynomial.variable(chow.nvars, i) * c
+    return chow.reduce(out)
+
+
+def assemble_by_every_cone(cox, ideal):
+    """``chow._assemble`` as it was before it capped its walk at degree k
+    and read the sign off the first maximal cone: the walk runs to degree
+    k + 1 with a rank check there, and every maximal cone must reduce to
+    +-top with one common sign."""
+    fan = cox.fan
+    r, k = fan.nrays, fan.dim
+    names = ideal.names
+    gb = groebner_basis(ideal)
+    walk = sorted(standard_monomials(gb.leads, r, k + 1))
+    bases = []
+    for p in range(k + 2):
+        cached = monomials_of_total_degree(r, p)
+        bases.append(tuple(cached[bisect_left(cached, m)]
+                           for m in walk if sum(m) == p))
+    ranks = chow_ranks(fan)
+    for p in range(k + 1):
+        if len(bases[p]) != ranks[p]:
+            raise RankMismatch(
+                "codimension %d has %d standard monomials, expected %d"
+                % (p, len(bases[p]), ranks[p]),
+                codim=p, got=len(bases[p]), expected=ranks[p])
+    if bases[k + 1]:
+        raise RankMismatch("standard monomials above the ambient dimension",
+                           codim=k + 1, got=len(bases[k + 1]), expected=0)
+    for g, lead in zip(gb.elements, gb.leads):
+        if g.coeffs[lead] != 1:
+            raise NormalizationInconsistent(
+                "basis element %s has a non-monic lead term"
+                % g.format(names))
+    top = bases[k][0]
+    sign = None
+    for cone in fan.max_cones:
+        e = [0] * r
+        for i in cone:
+            e[i] = 1
+        nf = normal_form(Polynomial.from_monomial(tuple(e)), gb)
+        lam = nf.coeffs.get(top, 0)
+        if set(nf.coeffs) != {top} or lam not in (1, -1):
+            raise NormalizationInconsistent(
+                "point class of cone %r reduced to %s, not +-(top monomial)"
+                % (cone, nf.format(names)), cone=cone)
+        if sign is None:
+            sign = lam
+        elif sign != lam:
+            raise NormalizationInconsistent(
+                "cone %r gives point class sign %d, earlier cones gave %d"
+                % (cone, lam, sign), cone=cone)
+    return ChowRing(cox=cox, names=names, gb=gb, bases=tuple(bases[:k + 1]),
+                    top=top, sign=sign)

@@ -1,8 +1,10 @@
 """Chow rings: ranks, degrees, known intersection numbers, pairing
 non-degeneracy."""
 
+import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +19,19 @@ from toricsegre.errors import (CodimOverflow, NormalizationInconsistent,
 from toricsegre.exactpoly import (GrevLex, Polynomial,
                                   monomials_of_total_degree,
                                   random_homogeneous)
+from toricsegre.cones import curve_functionals
 from toricsegre.fan import Fan, build_cox_context, validate_smooth_complete
-from toricsegre.groebner import groebner_basis, standard_monomials
+from toricsegre.groebner import groebner_basis, normal_form, standard_monomials
 from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 from toricsegre.parser import parse_polynomial
 
-from _fans import fan_library, star_subdivide
-from _oracles import (_det, chow_bases_by_scan, chow_ideal_by_solved_forms,
-                      irrelevant_ideal)
+from _fans import chain_surface, fan_library, star_subdivide
+from _oracles import (_det, assemble_by_every_cone, chow_bases_by_scan,
+                      chow_ideal_by_solved_forms, curve_functionals_by_smith,
+                      irrelevant_ideal, pic_to_chow_by_smith)
 from test_cones import EIGHT_RAYS, TWELVE_RAYS, cyclic_surface
+from test_fan import generated_fans, supplied_grading, validated_fan
 from test_segre import time_limit
 
 
@@ -296,3 +301,91 @@ def test_walk_finds_the_scanned_bases_for_every_order_tried(monkeypatch):
         for p, basis in enumerate(chow.bases):
             cached = {id(m) for m in monomials_of_total_degree(r, p)}
             assert all(id(m) in cached for m in basis), name
+
+
+def outcome(assemble, cox, ideal):
+    """The fields of the ring ``assemble`` makes of ``ideal``, or the type
+    and text of the error it raises."""
+    try:
+        chow = assemble(cox, ideal)
+    except (RankMismatch, NormalizationInconsistent) as exc:
+        return type(exc), str(exc)
+    return chow.gb, chow.bases, chow.top, chow.sign
+
+
+def check_top_degree_and_point_classes(cox):
+    """On every order ``build_chow_ring`` tries, ``_assemble`` accepts or
+    rejects as the oracle that walked to degree k + 1 and reduced every
+    maximal cone did, with the same ring or the same error.  On the
+    accepted ring the two facts that make the cap and the one cone
+    enough hold: no standard monomial has degree k + 1, and every maximal
+    cone reduces to sign times top."""
+    tried = []
+
+    def both(cox, ideal):
+        tried.append(ideal)
+        want = outcome(assemble_by_every_cone, cox, ideal)
+        assert outcome(_assemble, cox, ideal) == want, (cox.fan, ideal.order)
+        return _assemble(cox, ideal)
+
+    with mock.patch.object(chow_module, "_assemble", both):
+        chow = build_chow_ring(cox)
+    assert tried
+    r, k = cox.fan.nrays, cox.fan.dim
+    assert all(sum(m) <= k for m in standard_monomials(chow.gb.leads, r,
+                                                       k + 1))
+    for cone in cox.fan.max_cones:
+        point = Polynomial.from_monomial(tuple(int(i in cone)
+                                               for i in range(r)))
+        assert normal_form(point, chow.gb).coeffs == {chow.top: chow.sign}
+
+
+def test_top_degree_and_point_classes_on_library_and_chow_setup_fans():
+    coxes = list(fan_library().values())
+    coxes += [build_cox_context(chain_surface(r)) for r in (12, 14, 16)]
+    for cox in coxes:
+        check_top_degree_and_point_classes(cox)
+
+
+@given(generated_fans())
+@settings(max_examples=40, deadline=None)
+def test_top_degree_and_point_classes_on_generated_fans(data):
+    fan = validated_fan(data)
+    if fan is not None:
+        check_top_degree_and_point_classes(build_cox_context(fan))
+
+
+def check_lifts_and_functionals(chow, rng):
+    """The wall functionals and Picard lifts read off the right inverse
+    are the ones the Smith forms of the grading gave."""
+    assert curve_functionals(chow.cox) == curve_functionals_by_smith(chow.cox)
+    for _ in range(4):
+        delta = tuple(rng.randint(-4, 4) for _ in chow.cox.ring.grading)
+        assert chow.pic_to_chow(delta) == pic_to_chow_by_smith(chow, delta)
+
+
+def test_lifts_and_functionals_match_smith_oracles_on_library_fans():
+    rng = random.Random(27)
+    coxes = list(fan_library().values())
+    coxes += [cyclic_surface(rays) for rays in (EIGHT_RAYS, TWELVE_RAYS)]
+    coxes += [build_cox_context(hirzebruch(1).fan)]
+    for cox in coxes:
+        check_lifts_and_functionals(build_chow_ring(cox), rng)
+
+
+@given(generated_fans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_lifts_and_functionals_match_smith_oracles_on_generated_fans(data,
+                                                                     draw):
+    """With the canonical grading and with a supplied one, U . A for a
+    unimodular U; the Chow ring reads no grading, so one ring serves
+    both."""
+    fan = validated_fan(data)
+    if fan is None:
+        return
+    rng = random.Random(draw.draw(st.integers(0, 99)))
+    chow = build_chow_ring(build_cox_context(fan))
+    check_lifts_and_functionals(chow, rng)
+    cox = build_cox_context(fan, degrees=supplied_grading(draw.draw, fan,
+                                                          True))
+    check_lifts_and_functionals(dataclasses.replace(chow, cox=cox), rng)

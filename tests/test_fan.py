@@ -5,11 +5,13 @@ import random
 import time
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toricsegre import fan as fan_module
 from toricsegre import linalg
 from toricsegre.errors import (InvalidFan, InvalidGrading, NotComplete,
                                NotSmooth)
@@ -21,9 +23,10 @@ from toricsegre.library import (hirzebruch, product_p1_cubed,
                                 projective_space, threefold_p2_x_p1)
 
 from _fans import chain_surface, fan_library, star_subdivide
-from _oracles import (_det, heft_from_positive_relation,
-                      in_integer_row_span, irrelevant_ideal,
-                      validate_by_facet_normals, wall_relations_by_solve)
+from _oracles import (_det, degree_check_by_determinant,
+                      heft_from_positive_relation, in_integer_row_span,
+                      irrelevant_ideal, validate_by_facet_normals,
+                      wall_relations_by_solve)
 
 
 def test_all_library_fans_validate():
@@ -306,31 +309,107 @@ def unimodular(draw, n):
     return u
 
 
+def supplied_grading(draw, fan, unimodular_only):
+    """U . A for the canonical grading A of ``fan`` and U unimodular, or
+    (unless ``unimodular_only``) any small square integer U."""
+    canonical = grading_matrix(fan)
+    n = len(canonical)
+    if unimodular_only or draw(st.booleans()):
+        u = unimodular(draw, n)
+    else:
+        u = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                   max_size=n), min_size=n, max_size=n))
+    return [[sum(uij * row[c] for uij, row in zip(ui, canonical))
+             for c in range(fan.nrays)] for ui in u]
+
+
 @given(generated_fans(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_degree_check_matches_row_span_oracle(data, draw):
     """Gradings U . A, A the canonical one, with U unimodular or not: the
-    determinant test accepts exactly those the two-sided row-span test
-    accepts, and rejects the others with the same text."""
+    check accepts exactly those the two-sided row-span test accepts, and
+    rejects the others with the same text."""
     fan = validated_fan(data)
     if fan is None:
         return
-    canonical = grading_matrix(fan)
-    n = len(canonical)
-    if draw.draw(st.booleans()):
-        u = unimodular(draw.draw, n)
-    else:
-        u = draw.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
-                                        max_size=n), min_size=n, max_size=n))
-    a = [[sum(uij * row[c] for uij, row in zip(ui, canonical))
-          for c in range(fan.nrays)] for ui in u]
-    want = spans_by_row_span(canonical, a)
+    a = supplied_grading(draw.draw, fan, False)
+    want = spans_by_row_span(grading_matrix(fan), a)
     try:
-        got = validate_degree_matrix(fan, a) == tuple(map(tuple, a))
+        got = validate_degree_matrix(fan, a)[0] == tuple(map(tuple, a))
     except InvalidGrading as exc:
         assert str(exc) == "degree rows do not span the Picard lattice"
         got = False
-    assert got == want, (data, u)
+    assert got == want, (data, a)
+
+
+def check_right_inverse(cox):
+    """The block of the grading off the first maximal cone is unimodular,
+    and the Cox context's X is a right inverse of the grading that is
+    zero on the rows of that cone."""
+    fan, a, x = cox.fan, cox.ring.grading, cox.right_inverse
+    off = fan.cone_complement(fan.max_cones[0])
+    assert abs(_det([[row[i] for i in off] for row in a])) == 1
+    assert len(x) == fan.nrays
+    assert all(not any(x[i]) for i in fan.max_cones[0])
+    assert [[sum(row[i] * x[i][j] for i in range(fan.nrays))
+             for j in range(len(a))] for row in a] == \
+        [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+
+
+def test_right_inverse_on_library_and_chow_setup_fans():
+    coxes = list(fan_library().values())
+    coxes += [build_cox_context(chain_surface(r)) for r in (12, 14, 16)]
+    coxes += [build_cox_context(hirzebruch(1).fan,
+                                degrees=((1, 1, 1, 0), (1, 1, 2, 1)))]
+    for cox in coxes:
+        check_right_inverse(cox)
+
+
+@given(generated_fans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_right_inverse_on_generated_fans(data, draw):
+    """With the canonical grading and with a supplied one, U . A for a
+    unimodular U."""
+    fan = validated_fan(data)
+    if fan is None:
+        return
+    check_right_inverse(build_cox_context(fan))
+    check_right_inverse(build_cox_context(
+        fan, degrees=supplied_grading(draw.draw, fan, True)))
+
+
+def verdict(check, fan, a):
+    try:
+        return check(fan, a)
+    except InvalidGrading as exc:
+        return str(exc)
+
+
+@given(generated_fans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_degree_check_matches_determinant_oracle(data, draw):
+    """Gradings U . A, U unimodular or not, some with one entry changed
+    so that they no longer annihilate the rays and some with a row
+    dropped: the check of the block off the first maximal cone gives the
+    verdict and the text the determinant of degrees . X gave, and it
+    computes no canonical grading."""
+    fan = validated_fan(data)
+    if fan is None:
+        return
+    a = supplied_grading(draw.draw, fan, False)
+    change = draw.draw(st.sampled_from(("none", "entry", "row")))
+    if change == "entry":
+        a[0][draw.draw(st.integers(0, fan.nrays - 1))] += 1
+    elif change == "row":
+        a = a[1:]
+    want = verdict(degree_check_by_determinant, fan, a)
+    with mock.patch.object(fan_module, "grading_matrix",
+                           side_effect=AssertionError("canonical grading")):
+        got = verdict(validate_degree_matrix, fan, a)
+    if isinstance(want, str):
+        assert got == want, (data, a)
+    else:
+        assert got[0] == want, (data, a)
 
 
 @given(generated_fans(), st.lists(st.integers(-4, 4), min_size=1,

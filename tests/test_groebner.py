@@ -526,3 +526,60 @@ def test_prime_is_kept_by_extend_and_saturate():
     assert E.prime == p and groebner_basis(E).elements == G.elements
     S = saturate_ideal(I, ideal(XY, y))
     assert S.prime == p and groebner_basis(S).leads == ((0, 0),)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lead_lookup_matches_scan_oracle_on_lead_terms(data):
+    """Under grevlex in variable order, GrevLex with another perm and
+    BlockOrder: polynomials built from the basis's own leads, their
+    multiples and random terms reduce term for term as the scan of every
+    lead reduces them, or raise the same error.  A term that is a lead
+    is found by the lookup, every other term by the leads of lower
+    degree."""
+    nvars = data.draw(st.integers(2, 3))
+    order = data.draw(st.one_of(st.just(GrevLex(range(nvars))),
+                                orders(nvars)))
+    gens = data.draw(st.lists(
+        polys(nvars, max_exp=2, max_size=3).filter(bool), min_size=1,
+        max_size=3))
+    G = groebner_basis(ideal("xyz"[:nvars], *gens, order=order))
+    monomial = st.tuples(*([st.integers(0, 2)] * nvars))
+    for _ in range(4):
+        terms = {}
+        for lm in data.draw(st.lists(st.sampled_from(G.leads), max_size=4)):
+            shift = data.draw(st.one_of(st.just((0,) * nvars), monomial))
+            m = tuple(a + b for a, b in zip(lm, shift))
+            terms[m] = data.draw(st.integers(-5, 5))
+        f = Polynomial(nvars, {m: c for m, c in terms.items() if c})
+        f = f + data.draw(polys(nvars, max_exp=2, max_size=3))
+        assert (_terms_or_error(normal_form, f, G)
+                == _terms_or_error(normal_form_by_scan, f, G))
+
+
+def test_constant_generator_gives_the_unit_basis():
+    """A nonzero constant among the generators gives the reduced basis 1
+    over Z and mod p, with or without a known basis, and reduces no
+    S-polynomial; a constant that p divides is dropped mod p."""
+    x, y = var(XY, 0), var(XY, 1)
+    one = {(0, 0): 1}
+    order = GrevLex((0, 1))
+    known = groebner._buchberger([(x * x - y).coeffs], order)
+    for prime in (None, 7, 2 ** 31 - 1):
+        for gens in ([x * y + x, Polynomial.constant(2, -6), y],
+                     [Polynomial.constant(2, 3)]):
+            calls = []
+            with mock.patch.object(groebner, "_spoly",
+                                   side_effect=calls.append), \
+                    mock.patch.object(groebner, "_spoly_mod",
+                                      side_effect=calls.append):
+                for base in ((), known):
+                    got = groebner._buchberger([g.coeffs for g in gens],
+                                               order, base, prime)
+                    assert got == [((0, 0), one)], (prime, gens)
+            assert calls == []
+        I = Ideal.create([x, Polynomial.constant(2, 2)], XY, order, prime)
+        assert groebner_basis(I).elements == (Polynomial.constant(2, 1),)
+        assert krull_dimension(I) is None
+    I = Ideal.create([x * x, Polynomial.constant(2, 7)], XY, order, 7)
+    assert groebner_basis(I).leads == ((2, 0),)
